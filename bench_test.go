@@ -480,6 +480,69 @@ func BenchmarkParallelFill(b *testing.B) {
 	}
 }
 
+// BenchmarkFillMixes times one lattice fill of each algorithm at
+// N = 144, recycled through Reuse (no allocation is measured), across
+// the class mixes xbard serves: the paper's Poisson-plus-bursty figure
+// mix, which has its own fused cell kernel, and the multirate mixes of
+// mixed BPP kinds that take the generic row-pass kernels. P is Poisson,
+// B Pascal (peaky), b Bernoulli (smooth); the digit is a_r.
+func BenchmarkFillMixes(b *testing.B) {
+	const n = 144
+	p := func(a int) core.AggregateClass {
+		return core.AggregateClass{Name: fmt.Sprintf("P%d", a), A: a, AlphaTilde: 0.0012 / float64(a), Mu: 1}
+	}
+	pascal := func(a int) core.AggregateClass {
+		return core.AggregateClass{Name: fmt.Sprintf("B%d", a), A: a, AlphaTilde: 0.0012 / float64(a), BetaTilde: 0.0006 / float64(a), Mu: 1}
+	}
+	bernoulli := func(a int) core.AggregateClass {
+		alpha := 0.0012 / float64(a)
+		return core.AggregateClass{Name: fmt.Sprintf("b%d", a), A: a, AlphaTilde: alpha, BetaTilde: -alpha / 200, Mu: 1}
+	}
+	mixes := []struct {
+		name    string
+		classes []core.AggregateClass
+	}{
+		{"P1B1", []core.AggregateClass{p(1), pascal(1)}},
+		{"B1B2", []core.AggregateClass{pascal(1), pascal(2)}},
+		{"P1P2", []core.AggregateClass{p(1), p(2)}},
+		{"B1b2", []core.AggregateClass{pascal(1), bernoulli(2)}},
+		{"P1B2b3", []core.AggregateClass{p(1), pascal(2), bernoulli(3)}},
+		{"B1B2B3", []core.AggregateClass{pascal(1), pascal(2), pascal(3)}},
+		{"P1P2P3", []core.AggregateClass{p(1), p(2), p(3)}},
+	}
+	for _, m := range mixes {
+		sw := core.NewSwitch(n, n, m.classes...)
+		b.Run("alg1/"+m.name, func(b *testing.B) {
+			s, err := core.NewSolver(sw, core.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Reuse(sw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sinkRes = s.Result()
+		})
+		b.Run("alg2/"+m.name, func(b *testing.B) {
+			s, err := core.NewMVASolver(sw, core.Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Reuse(sw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sinkRes = s.Result()
+		})
+	}
+}
+
 // BenchmarkBaselines is Ablation B: the pooled link, the slotted
 // crossbar and the MIN against the asynchronous crossbar.
 func BenchmarkBaselines(b *testing.B) {

@@ -195,11 +195,14 @@ func (s *Solver) fill() {
 }
 
 // fillBlock runs the recursion over the half-open cell block
-// [n1lo, n1hi) x [n2lo, n2hi) in row-major order. The loop body works
-// on flat indices with hoisted per-class constants and a deferred-
-// normalization accumulator (scale.Acc): each cell costs one
+// [n1lo, n1hi) x [n2lo, n2hi) in row-major order. The fill works on
+// flat indices with hoisted per-class constants and deferred-
+// normalization accumulators (scale.Acc): each cell costs one
 // renormalization instead of several per class, which is where
-// Algorithm 1 spends its time at N = 256. The n1 = 0 boundary row
+// Algorithm 1 spends its time at N = 256. Interior row segments run
+// as per-class row passes over a stack row of accumulators
+// (fillRowInterior), or through the fused cell kernel for the
+// paper's one-Poisson-plus-one-bursty mix. The n1 = 0 boundary row
 // (step direction 2, no class terms reachable) is split out so the
 // main loop carries no per-cell direction or origin branches, and each
 // row splits into the guarded boundary band (n2 < maxA, some class
@@ -209,6 +212,7 @@ func (s *Solver) fill() {
 // the parallel fill's bit-identity guarantee.
 func (s *Solver) fillBlock(n1lo, n1hi, n2lo, n2hi int) {
 	n2w := s.sw.N2 + 1
+	var acc [rowChunk]scale.Acc
 	n1 := n1lo
 	if n1 == 0 {
 		s.fillRow0(n2lo, n2hi)
@@ -263,37 +267,43 @@ func (s *Solver) fillBlock(n1lo, n1hi, n2lo, n2hi int) {
 			}
 			continue
 		}
-		for ; n2 < n2hi; n2++ {
-			i := base + n2
-			// Step in direction i = 1: Q(n) plus the class terms, all
-			// divided by n1. Every displacement is on the lattice, so
-			// no per-class guards.
-			var acc scale.Acc
-			acc.Init(s.q[i-n2w])
-			for j := range s.poisson {
-				p := &s.poisson[j]
-				acc.AddMul(s.q[i-p.off], p.coef)
-			}
-			// W(m, r) = a_r rho_r Q(m - a I) + (beta/mu) W(m - a I, r),
-			// folded into the accumulation as it is produced.
-			for j := range s.bursty {
-				b := &s.bursty[j]
-				p := i - b.off
-				var wa scale.Acc
-				wa.InitMul(s.q[p], b.coef)
-				wa.AddMulAcc(b.w[p], b.betaMu)
-				b.w[i] = wa
-				acc.AddAcc(wa)
-			}
-			s.q[i] = acc.MulNorm(inv1)
-		}
+		s.fillRowInterior(&acc, base+n2, base+n2hi, inv1)
 	}
 }
 
-// fillCellGuarded is the boundary-band cell body: identical to the
-// interior body of fillBlock except that every class displacement is
-// range-checked against the lattice edge (off-lattice Q and W are
-// zero).
+// rowChunk is the length of the row accumulator fillBlock keeps on its
+// stack: the interior row pass runs over a row segment in chunks of at
+// most this many cells.
+const rowChunk = 256
+
+// fillRowInterior fills the interior cells [lo, hi) (flat indices, one
+// row n1 >= maxA, n2 >= maxA) with the scale row kernels: the up term,
+// then one pass per Poisson class and one per bursty class (storing
+// the W cells as it goes), then the 1/n1 normalization — per cell the
+// exact Acc sequence of the per-cell Eq. 10 body, so the lattice is
+// bit-identical to it. Every displacement is on the lattice, so no
+// per-class guards.
+func (s *Solver) fillRowInterior(acc *[rowChunk]scale.Acc, lo, hi int, inv1 float64) {
+	n2w := s.sw.N2 + 1
+	for ; lo < hi; lo += rowChunk {
+		a := acc[:min(hi-lo, rowChunk)]
+		scale.RowInit(a, s.q[lo-n2w:])
+		for j := range s.poisson {
+			p := &s.poisson[j]
+			scale.RowAddMul(a, s.q[lo-p.off:], p.coef)
+		}
+		for j := range s.bursty {
+			b := &s.bursty[j]
+			scale.RowAddW(a, b.w[lo:], s.q[lo-b.off:], b.w[lo-b.off:], b.coef, b.betaMu)
+		}
+		scale.RowMulNorm(s.q[lo:], a, inv1)
+	}
+}
+
+// fillCellGuarded is the boundary-band cell body: per cell, the same
+// Acc sequence as the interior row pass, except that every class
+// displacement is range-checked against the lattice edge (off-lattice
+// Q and W are zero).
 func (s *Solver) fillCellGuarded(n1, n2, i int) {
 	var acc scale.Acc
 	acc.Init(s.q[i-s.sw.N2-1])
@@ -400,17 +410,14 @@ func (s *Solver) ResultAt(n1, n2 int) *Result {
 func (s *Solver) concurrency(r, n1, n2 int) float64 {
 	c := s.sw.Classes[r]
 	a := c.A
-	// Walk down the diagonal chain N, N-aI, N-2aI, ... and fold back up.
-	var depths []struct{ m1, m2 int }
-	for m1, m2 := n1, n2; m1 >= a && m2 >= a; m1, m2 = m1-a, m2-a {
-		depths = append(depths, struct{ m1, m2 int }{m1, m2})
-	}
+	// Fold the diagonal chain N, N-aI, N-2aI, ... (every point with
+	// both coordinates >= a) from its bottom end back up to N.
 	e := 0.0
-	for i := len(depths) - 1; i >= 0; i-- {
-		d := depths[i]
-		gRatio := s.at(d.m1-a, d.m2-a).Ratio(s.at(d.m1, d.m2)) /
-			(combin.Perm(d.m1, a) * combin.Perm(d.m2, a)) // G(M-aI)/G(M)
-		cc := combin.Perm(d.m1, a) * combin.Perm(d.m2, a)
+	for t := min(n1, n2)/a - 1; t >= 0; t-- {
+		m1, m2 := n1-t*a, n2-t*a
+		gRatio := s.at(m1-a, m2-a).Ratio(s.at(m1, m2)) /
+			(combin.Perm(m1, a) * combin.Perm(m2, a)) // G(M-aI)/G(M)
+		cc := combin.Perm(m1, a) * combin.Perm(m2, a)
 		if c.IsPoisson() {
 			e = c.Rho() * cc * gRatio
 		} else {
@@ -506,15 +513,11 @@ func SolveUnscaled(sw Switch) (*Result, error) {
 		// Concurrency via the same Section 3 diagonal recursion on the
 		// raw lattice; precision loss here is part of the ablation.
 		e := 0.0
-		var chain []struct{ m1, m2 int }
-		for m1, m2 := n1max, n2max; m1 >= a && m2 >= a; m1, m2 = m1-a, m2-a {
-			chain = append(chain, struct{ m1, m2 int }{m1, m2})
-		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			d := chain[i]
-			gRatio := at(d.m1-a, d.m2-a) / at(d.m1, d.m2) /
-				(combin.Perm(d.m1, a) * combin.Perm(d.m2, a))
-			cc := combin.Perm(d.m1, a) * combin.Perm(d.m2, a)
+		for t := min(n1max, n2max)/a - 1; t >= 0; t-- {
+			m1, m2 := n1max-t*a, n2max-t*a
+			gRatio := at(m1-a, m2-a) / at(m1, m2) /
+				(combin.Perm(m1, a) * combin.Perm(m2, a))
+			cc := combin.Perm(m1, a) * combin.Perm(m2, a)
 			if c.IsPoisson() {
 				e = c.Rho() * cc * gRatio
 			} else {

@@ -397,6 +397,44 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateDerivedRates: finite inputs whose derived rates are not
+// usable — rho overflowing to +Inf, a_r rho_r underflowing to zero,
+// beta/mu overflowing — are validation errors for both algorithms and
+// their sweep layers, not panics or NaN measures.
+func TestValidateDerivedRates(t *testing.T) {
+	bad := map[string]Class{
+		"rho overflows":        {A: 1, Alpha: 1e300, Mu: 1e-300},
+		"a rho overflows":      {A: 3, Alpha: 1e308, Mu: 1},
+		"rho underflows":       {A: 1, Alpha: 1e-300, Mu: 1e300},
+		"pascal slope +Inf":    {A: 1, Alpha: 1, Beta: 1e300, Mu: 1e-300},
+		"bernoulli slope -Inf": {A: 1, Alpha: 1e300, Beta: -1e300 / 8, Mu: 1e-300},
+		"NaN alpha":            {A: 1, Alpha: math.NaN(), Mu: 1},
+	}
+	for name, c := range bad {
+		sw := Switch{N1: 4, N2: 4, Classes: []Class{{A: 1, Alpha: 0.1, Mu: 1}, c}}
+		if err := sw.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+		if _, err := Solve(sw); err == nil {
+			t.Errorf("%s: Solve accepted %+v", name, c)
+		}
+		if _, err := SolveMVA(sw); err == nil {
+			t.Errorf("%s: SolveMVA accepted %+v", name, c)
+		}
+		if _, err := NewSweepSolver(sw); err == nil {
+			t.Errorf("%s: NewSweepSolver accepted %+v", name, c)
+		}
+		if _, err := NewMVASweepSolver(sw); err == nil {
+			t.Errorf("%s: NewMVASweepSolver accepted %+v", name, c)
+		}
+	}
+	// Extreme but representable rates stay valid.
+	ok := Switch{N1: 4, N2: 4, Classes: []Class{{A: 1, Alpha: 1e-300, Mu: 1e-10}, {A: 2, Alpha: 1e200, Mu: 1e-10}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("representable extreme rates rejected: %v", err)
+	}
+}
+
 // TestClassMarginals: each per-class marginal is a distribution whose
 // mean matches E_r and whose full shape matches direct state-space
 // enumeration.

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"xbar/internal/combin"
 	"xbar/internal/dist"
@@ -164,8 +165,10 @@ func (s Switch) MaxN() int {
 }
 
 // Validate checks the model constraints: positive dimensions, a_r >= 1,
-// alpha_r > 0, mu_r > 0, Pascal convergence beta_r/mu_r < 1, and the
-// Bernoulli population constraints of Section 2.
+// alpha_r > 0, mu_r > 0, Pascal convergence beta_r/mu_r < 1, the
+// Bernoulli population constraints of Section 2, and derived rates the
+// solvers can carry: a_r rho_r positive and finite (not overflowed,
+// not underflowed to zero), beta_r/mu_r finite.
 func (s Switch) Validate() error {
 	if s.N1 < 1 || s.N2 < 1 {
 		return fmt.Errorf("core: switch dimensions %dx%d, must be >= 1x1", s.N1, s.N2)
@@ -179,6 +182,16 @@ func (s Switch) Validate() error {
 		}
 		if err := c.BPP().Validate(s.MaxN()); err != nil {
 			return fmt.Errorf("core: class %d (%s): %w", i, c.Name, err)
+		}
+		// The solvers run on the derived rates, not the raw inputs:
+		// finite alpha and mu can still give an infinite rho (or one
+		// that underflows to zero), and the lattice fills take every
+		// class coefficient a_r rho_r to be positive and finite.
+		if ar := float64(c.A) * c.Rho(); !(ar > 0) || math.IsInf(ar, 1) {
+			return fmt.Errorf("core: class %d (%s): a_r rho_r = %v, must be positive and finite", i, c.Name, ar)
+		}
+		if bm := c.BetaMu(); math.IsNaN(bm) || math.IsInf(bm, 0) {
+			return fmt.Errorf("core: class %d (%s): beta_r/mu_r = %v, must be finite", i, c.Name, bm)
 		}
 	}
 	return nil

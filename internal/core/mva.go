@@ -47,6 +47,10 @@ type MVASolver struct {
 	burstyOf []int
 	// terms holds the per-class constants hoisted out of the fill.
 	terms []mvaTerm
+	// maxA is the largest class rate a_r, the boundary band width: at
+	// cells with n1 >= maxA and n2 >= maxA every class staircase stays
+	// on the lattice and the fill runs the unguarded row passes.
+	maxA int
 }
 
 // mvaTerm is one class's hoisted fill constants.
@@ -91,7 +95,9 @@ func (s *MVASolver) Reuse(sw Switch, opts ...Options) error {
 	s.burstyOf = s.burstyOf[:0]
 	s.terms = s.terms[:0]
 	dUsed := 0
+	s.maxA = 0
 	for r, c := range sw.Classes {
+		s.maxA = max(s.maxA, c.A)
 		s.terms = append(s.terms, mvaTerm{
 			a: c.A, aRho: float64(c.A) * c.Rho(), betaMu: c.BetaMu(), poisson: c.IsPoisson(),
 		})
@@ -175,7 +181,7 @@ func (s *MVASolver) dAt(j, n1, n2 int) float64 {
 // for it. Dependencies at a cell — the F staircases from (n - 1_i)
 // down to (n - a_r I) and the D values at (n - a_r I) — all live at
 // strictly smaller n1 + n2 except the same-cell F factors of the D
-// update, which fillBlock computes first within the cell; anti-
+// update, which fillBlock computes before the cell's D; anti-
 // diagonal tile order is therefore a topological order and the
 // parallel fill is bit-identical to the sequential one.
 func (s *MVASolver) fill() {
@@ -189,37 +195,207 @@ func (s *MVASolver) fill() {
 }
 
 // fillBlock runs the recursions over the half-open cell block
-// [n1lo, n1hi) x [n2lo, n2hi) in row-major order.
+// [n1lo, n1hi) x [n2lo, n2hi) in row-major order. Each row splits into
+// the guarded boundary band (n1 < maxA or n2 < maxA: the F boundary
+// values, and classes whose displacement may leave the lattice) and
+// the interior, which fillRowInterior fills in per-class row passes.
+// Whether a cell takes the guarded or the interior body depends only
+// on its coordinates, never on the schedule, so the split preserves
+// the parallel fill's bit-identity guarantee.
 func (s *MVASolver) fillBlock(n1lo, n1hi, n2lo, n2hi int) {
-	sw := s.sw
-	n2w := sw.N2 + 1
+	n2w := s.sw.N2 + 1
+	var l [rowChunk]float64
 	for n1 := n1lo; n1 < n1hi; n1++ {
 		base := n1 * n2w
-		for n2 := n2lo; n2 < n2hi; n2++ {
-			i := base + n2
-			// F boundary and interior values.
-			switch {
-			case n1 == 0 && n2 == 0:
-				s.f1[i], s.f2[i] = 0, 0
-			case n2 == 0:
-				s.f1[i], s.f2[i] = float64(n1), 0
-			case n1 == 0:
-				s.f1[i], s.f2[i] = 0, float64(n2)
-			default:
-				s.f1[i] = s.solveF(1, n1, n2)
-				s.f2[i] = s.solveF(2, n1, n2)
+		lim := n2hi
+		if n1 >= s.maxA {
+			lim = min(s.maxA, n2hi)
+		}
+		n2 := n2lo
+		for ; n2 < lim; n2++ {
+			s.fillCellGuarded(n1, n2, base+n2)
+		}
+		for ; n2 < n2hi; n2 += rowChunk {
+			s.fillRowInterior(&l, n1, n2, min(n2hi, n2+rowChunk))
+		}
+	}
+}
+
+// fillCellGuarded is the boundary-band cell body: the F boundary
+// values or the guarded balance equations, then the D grids, after F
+// at this cell is final.
+func (s *MVASolver) fillCellGuarded(n1, n2, i int) {
+	switch {
+	case n1 == 0 && n2 == 0:
+		s.f1[i], s.f2[i] = 0, 0
+	case n2 == 0:
+		s.f1[i], s.f2[i] = float64(n1), 0
+	case n1 == 0:
+		s.f1[i], s.f2[i] = 0, float64(n2)
+	default:
+		s.f1[i] = s.solveF(1, n1, n2)
+		s.f2[i] = s.solveF(2, n1, n2)
+	}
+	for j, r := range s.burstyR {
+		t := &s.terms[r]
+		d := 1.0
+		if n1 >= t.a && n2 >= t.a {
+			h := s.ratio(n1, n2, t.a)
+			d = 1 + t.betaMu*h*s.dAt(j, n1-t.a, n2-t.a)
+		}
+		s.d[j][i] = d
+	}
+}
+
+// fillRowInterior fills the interior cells n2 in [lo, hi) of row n1
+// (n1 >= maxA, n2 >= maxA, hi - lo <= rowChunk) in per-class row
+// passes: the F_1 denominators accumulate in place in the F_1 row, one
+// pass per class in class order, then divide into n1; F_2 the same
+// way (its staircases read the F_1 cell to the left, final by then);
+// then each bursty class's D row. The staircase products come from
+// stairRow into the stack row l. Per cell the float operations and
+// their order are exactly those of solveF and the guarded D update, so
+// the lattices are bit-identical to a per-cell fill.
+func (s *MVASolver) fillRowInterior(l *[rowChunk]float64, n1, lo, hi int) {
+	n2w := s.sw.N2 + 1
+	i0 := n1*n2w + lo
+	seg := hi - lo
+	lr := l[:seg]
+	for pass, fr := range [2][]float64{s.f1[i0 : i0+seg], s.f2[i0 : i0+seg]} {
+		for k := range fr {
+			fr[k] = 1
+		}
+		for r := range s.terms {
+			t := &s.terms[r]
+			a := t.a
+			if pass == 0 {
+				// L_1r: from (n - 1_1), direction 2 a times, then
+				// direction 1 a-1 times.
+				stairRow(lr, s.f2, i0-n2w, a, -1, s.f1, a-1, -n2w)
+			} else {
+				// L_2r: from (n - 1_2), direction 1 a times, then
+				// direction 2 a-1 times.
+				stairRow(lr, s.f1, i0-1, a, -n2w, s.f2, a-1, -1)
 			}
-			// D grids, after F at this cell is final.
-			for j, r := range s.burstyR {
-				t := &s.terms[r]
-				d := 1.0
-				if n1 >= t.a && n2 >= t.a {
-					h := s.ratio(n1, n2, t.a)
-					d = 1 + t.betaMu*h*s.dAt(j, n1-t.a, n2-t.a)
+			// The float64 conversions round each class term before it
+			// is added, as solveF's term variable does: without them,
+			// platforms with fused multiply-add (arm64) would fuse the
+			// last multiply into the add and break bit-identity.
+			if t.poisson {
+				for k := range fr {
+					fr[k] += float64(t.aRho * lr[k])
 				}
-				s.d[j][i] = d
+				continue
+			}
+			dd := s.d[s.burstyOf[r]][i0-a*n2w-a:]
+			dd = dd[:seg]
+			for k := range fr {
+				fr[k] += float64(t.aRho * lr[k] * dd[k])
 			}
 		}
+		if pass == 0 {
+			n1f := float64(n1)
+			for k := range fr {
+				fr[k] = n1f / fr[k]
+			}
+			continue
+		}
+		for k := range fr {
+			fr[k] = float64(lo+k) / fr[k]
+		}
+	}
+	for j, r := range s.burstyR {
+		t := &s.terms[r]
+		a := t.a
+		// H_r(n): direction 1 a times, then direction 2 a times.
+		stairRow(lr, s.f1, i0, a, -n2w, s.f2, a, -1)
+		dv := s.d[j]
+		dd := dv[i0-a*n2w-a:]
+		dd = dd[:seg]
+		dr := dv[i0 : i0+seg]
+		for k := range dr {
+			dr[k] = 1 + t.betaMu*lr[k]*dd[k]
+		}
+	}
+}
+
+// stairRow sets l[k], for each cell k of a row segment, to the product
+// of the F factors along one staircase path: n factors of x at flat
+// offsets p0+k, p0+k+sx, ..., then m factors of y stepping by sy from
+// where the x walk ended. These are the paths ratio and solveF walk,
+// multiplied left to right in the same order. Paths of up to six
+// factors (every a_r <= 3) are fused into one pass; longer ones
+// multiply in one pass per factor.
+func stairRow(l, x []float64, p0, n, sx int, y []float64, m, sy int) {
+	var views [6][]float64
+	if n+m <= len(views) {
+		v, p := 0, p0
+		for t := 0; t < n; t++ {
+			views[v] = x[p : p+len(l)]
+			v++
+			p += sx
+		}
+		for t := 0; t < m; t++ {
+			views[v] = y[p : p+len(l)]
+			v++
+			p += sy
+		}
+		prodRow(l, views[:v])
+		return
+	}
+	p := p0
+	copy(l, x[p:p+len(l)])
+	for t := 1; t < n; t++ {
+		p += sx
+		mulRow(l, x[p:p+len(l)])
+	}
+	p += sx
+	for t := 0; t < m; t++ {
+		mulRow(l, y[p:p+len(l)])
+		p += sy
+	}
+}
+
+// prodRow sets l[k] = v[0][k] * v[1][k] * ... for one to six views,
+// multiplied left to right. The leading factor is taken verbatim: the
+// per-cell staircases start from 1.0, and 1.0 * x == x exactly.
+func prodRow(l []float64, v [][]float64) {
+	switch len(v) {
+	case 1:
+		copy(l, v[0])
+	case 2:
+		x0, x1 := v[0][:len(l)], v[1][:len(l)]
+		for k := range l {
+			l[k] = x0[k] * x1[k]
+		}
+	case 3:
+		x0, x1, x2 := v[0][:len(l)], v[1][:len(l)], v[2][:len(l)]
+		for k := range l {
+			l[k] = x0[k] * x1[k] * x2[k]
+		}
+	case 4:
+		x0, x1, x2, x3 := v[0][:len(l)], v[1][:len(l)], v[2][:len(l)], v[3][:len(l)]
+		for k := range l {
+			l[k] = x0[k] * x1[k] * x2[k] * x3[k]
+		}
+	case 5:
+		x0, x1, x2, x3, x4 := v[0][:len(l)], v[1][:len(l)], v[2][:len(l)], v[3][:len(l)], v[4][:len(l)]
+		for k := range l {
+			l[k] = x0[k] * x1[k] * x2[k] * x3[k] * x4[k]
+		}
+	default:
+		x0, x1, x2, x3, x4, x5 := v[0][:len(l)], v[1][:len(l)], v[2][:len(l)], v[3][:len(l)], v[4][:len(l)], v[5][:len(l)]
+		for k := range l {
+			l[k] = x0[k] * x1[k] * x2[k] * x3[k] * x4[k] * x5[k]
+		}
+	}
+}
+
+// mulRow multiplies l by x cell by cell.
+func mulRow(l, x []float64) {
+	x = x[:len(l)]
+	for k := range l {
+		l[k] *= x[k]
 	}
 }
 
@@ -320,13 +496,8 @@ func (s *MVASolver) ResultAt(n1, n2 int) *Result {
 		// E_r(M) = H_r(M) (rho_r + (beta/mu) E_r(M - aI)) folded up the
 		// diagonal chain; rho_r * H_r(M) for Poisson classes.
 		e := 0.0
-		var chain []struct{ m1, m2 int }
-		for m1, m2 := n1, n2; m1 >= a && m2 >= a; m1, m2 = m1-a, m2-a {
-			chain = append(chain, struct{ m1, m2 int }{m1, m2})
-		}
-		for t := len(chain) - 1; t >= 0; t-- {
-			d := chain[t]
-			hm := s.ratio(d.m1, d.m2, a)
+		for t := min(n1, n2)/a - 1; t >= 0; t-- {
+			hm := s.ratio(n1-t*a, n2-t*a, a)
 			if c.IsPoisson() {
 				e = c.Rho() * hm
 			} else {

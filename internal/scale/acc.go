@@ -112,16 +112,17 @@ func rawAdd(af float64, ae int, frac float64, exp int) (float64, int) {
 		// place.
 		frac, af = af, frac
 		ae = exp
-		if shift < 0 {
-			shift = -shift
-		}
-	}
-	if shift > 1075 {
-		return af, ae
+		shift = max(shift, -shift)
 	}
 	// ldexpDown(frac, shift), spelled out in place; see ldexpDown for
-	// the split-shift rationale.
+	// the split-shift rationale. The absorption test nests inside the
+	// rare split-shift branch: written this way (and with the max
+	// above) rawAdd costs exactly the compiler's inlining budget of 80,
+	// one branch more and every fill kernel pays a call per term.
 	if shift > 1022 {
+		if shift > 1075 {
+			return af, ae
+		}
 		frac *= math.Float64frombits(uint64(2045-shift) << 52)
 		shift = 1022
 	}

@@ -2,14 +2,14 @@ package scale
 
 import "math"
 
-// This file holds the fused lattice-cell kernels for internal/core's
-// Algorithm 1 fill. The generic fill accumulates a cell as a sequence
-// of Acc wrapper calls, each one addRaw call deep; for the workload
-// shape every figure of the paper uses — exactly one Poisson and one
-// bursty class — the whole cell collapses into a single out-of-line
-// call here, with the alignment core (rawAdd) inlined at each use.
-// That removes three call boundaries per lattice cell, which is the
-// dominant remaining cost of the N = 256 fill.
+// This file holds the fused lattice kernels for internal/core's
+// Algorithm 1 fill. Accumulating a cell through the Acc wrappers costs
+// one addRaw call per term; the kernels here inline the alignment core
+// (rawAdd) instead. For the workload shape every figure of the paper
+// uses — exactly one Poisson and one bursty class — the whole cell
+// collapses into a single call (QCellPB); every other class mix runs
+// as per-class passes over a row segment (RowInit, RowAddMul, RowAddW,
+// RowMulNorm), one call per class per row instead of one per term.
 
 // QCellPB advances one interior Eq. 10 cell for the one-Poisson-plus-
 // one-bursty class mix. It returns the normalized Q value of the cell
@@ -53,4 +53,67 @@ func QCellPB(qUp, qP, qB Number, w Acc, cp, cb, bm Number, inv float64) (Number,
 		frac: math.Float64frombits(bits&^(uint64(0x7ff)<<52) | uint64(1022)<<52),
 		exp:  ae + be - 1022,
 	}, Acc{frac: waf, exp: wae}
+}
+
+// The row kernels fill a row segment of the Eq. 10 lattice through a
+// row of Acc accumulators: RowInit, then one RowAddMul per Poisson
+// class and one RowAddW per bursty class in class order, then
+// RowMulNorm. Per cell the float operations are exactly those of the
+// Acc wrapper sequence — Init, AddMul per Poisson class, InitMul/
+// AddMulAcc/AddAcc per bursty class, MulNorm — so the row pass
+// reproduces a per-cell fill bit for bit (TestRowKernels). Every slice
+// argument must be at least as long as acc.
+
+// RowInit starts each accumulator of acc at the matching up cell: the
+// Q(n - 1_1) term every Eq. 10 cell begins with (Acc.Init per cell).
+func RowInit(acc []Acc, up []Number) {
+	up = up[:len(acc)]
+	for k := range acc {
+		acc[k] = Acc{frac: up[k].frac, exp: up[k].exp}
+	}
+}
+
+// RowAddMul adds q[k]*f to acc[k] for every cell of the segment: one
+// Poisson class's a_r rho_r Q(n - a_r I) term (Acc.AddMul per cell).
+func RowAddMul(acc []Acc, q []Number, f Number) {
+	q = q[:len(acc)]
+	for k := range acc {
+		acc[k].frac, acc[k].exp = rawAdd(acc[k].frac, acc[k].exp, q[k].frac*f.frac, q[k].exp+f.exp)
+	}
+}
+
+// RowAddW advances one bursty class over the segment: it stores the
+// cell's W working value w[k] = cb*q[k] + bm*wd[k], with q the
+// displaced Q(n - a_r I) and wd the displaced W(n - a_r I), and adds
+// it to acc[k] (Acc.InitMul, AddMulAcc, then AddAcc per cell).
+func RowAddW(acc, w []Acc, q []Number, wd []Acc, cb, bm Number) {
+	w = w[:len(acc)]
+	q = q[:len(acc)]
+	wd = wd[:len(acc)]
+	for k := range acc {
+		waf, wae := rawAdd(q[k].frac*cb.frac, q[k].exp+cb.exp, wd[k].frac*bm.frac, wd[k].exp+bm.exp)
+		w[k] = Acc{frac: waf, exp: wae}
+		acc[k].frac, acc[k].exp = rawAdd(acc[k].frac, acc[k].exp, waf, wae)
+	}
+}
+
+// RowMulNorm finishes the segment: dst[k] = acc[k] * inv, normalized
+// (Acc.MulNorm per cell). The normalization is normFrac's hot path
+// spelled out in place, as in QCellPB: normFrac itself is beyond the
+// inlining budget.
+func RowMulNorm(dst []Number, acc []Acc, inv float64) {
+	dst = dst[:len(acc)]
+	for k := range acc {
+		f := acc[k].frac * inv
+		bits := math.Float64bits(f)
+		be := int(bits >> 52 & 0x7ff)
+		if uint(be-1) >= 0x7fe {
+			dst[k] = normSlow(f, acc[k].exp)
+			continue
+		}
+		dst[k] = Number{
+			frac: math.Float64frombits(bits&^(uint64(0x7ff)<<52) | uint64(1022)<<52),
+			exp:  acc[k].exp + be - 1022,
+		}
+	}
 }

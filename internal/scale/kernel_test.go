@@ -84,3 +84,75 @@ func TestQCellPBRecursionStep(t *testing.T) {
 		t.Fatalf("Q = %g, want %g", got, wantQ)
 	}
 }
+
+// TestRowKernels pins the row kernels to the Acc wrapper sequence of
+// one Eq. 10 cell — Init, AddMul per Poisson term, InitMul/AddMulAcc/
+// AddAcc per bursty term, MulNorm — bit for bit, over rows built from
+// the same edge values as TestQCellPB: wide exponent spreads (past the
+// 1075-order absorption cutoff and through the split-shift range),
+// sign flips and zero W cells.
+func TestRowKernels(t *testing.T) {
+	nums := []Number{
+		FromFloat64(0.75),
+		FromFloat64(1.5e-8),
+		FromFloat64(3.25e9),
+		FromLog(-700),
+		FromLog(650),
+		FromFloat64(-0.5000000001),
+		{frac: 0.5, exp: -1060},
+		{frac: 0.75, exp: 1040},
+	}
+	ws := []Acc{
+		{},
+		{frac: 0.625, exp: 12},
+		{frac: 1.75, exp: -2000},
+		{frac: 900.5, exp: 1800},
+		{frac: -0.8125, exp: 40},
+		{frac: 0.5, exp: -1050},
+	}
+	coefs := []Number{FromFloat64(0.037), FromLog(-745), FromFloat64(2.5e7)}
+	// Every combination of up, Poisson and bursty operands is one cell
+	// of the row.
+	var up, qp, qb []Number
+	var wd []Acc
+	for _, u := range nums {
+		for _, p := range nums {
+			for _, b := range nums {
+				for _, w := range ws {
+					up, qp, qb, wd = append(up, u), append(qp, p), append(qb, b), append(wd, w)
+				}
+			}
+		}
+	}
+	for _, cp := range coefs {
+		for _, cb := range coefs {
+			bm := FromFloat64(0.42)
+			inv := 1.0 / 7
+			acc := make([]Acc, len(up))
+			w := make([]Acc, len(up))
+			q := make([]Number, len(up))
+			RowInit(acc, up)
+			RowAddMul(acc, qp, cp)
+			RowAddW(acc, w, qb, wd, cb, bm)
+			RowAddMul(acc, qb, cb)
+			RowMulNorm(q, acc, inv)
+			for k := range up {
+				var c Acc
+				c.Init(up[k])
+				c.AddMul(qp[k], cp)
+				var wa Acc
+				wa.InitMul(qb[k], cb)
+				wa.AddMulAcc(wd[k], bm)
+				c.AddAcc(wa)
+				c.AddMul(qb[k], cb)
+				want := c.MulNorm(inv)
+				if math.Float64bits(w[k].frac) != math.Float64bits(wa.frac) || w[k].exp != wa.exp {
+					t.Fatalf("cell %d: W = %+v, want %+v", k, w[k], wa)
+				}
+				if math.Float64bits(q[k].frac) != math.Float64bits(want.frac) || q[k].exp != want.exp {
+					t.Fatalf("cell %d: Q = %#v, want %#v (up=%v qp=%v qb=%v wd=%+v)", k, q[k], want, up[k], qp[k], qb[k], wd[k])
+				}
+			}
+		}
+	}
+}

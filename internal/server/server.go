@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -187,12 +189,35 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 	})
 }
 
-// writeJSON renders one response document. A failed write usually
-// means the client hung up; it is counted, not propagated.
+// encodeBufs recycles writeJSON's encode buffers.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// internalErrorBody is the 500 document writeJSON sends when a
+// response cannot be encoded: writeError's rendering of
+// "internal error", spelled out so the fallback cannot fail in turn.
+const internalErrorBody = `{"error":"internal error"}` + "\n"
+
+// writeJSON renders one response document. The document is encoded in
+// full before the status goes out, so a value JSON cannot carry (a NaN
+// or an infinity) turns into a 500 with an error document, which the
+// endpoint's error counter sees, instead of a 2xx with a truncated
+// body. A failed write usually means the client hung up; it is
+// counted, not propagated.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		encodeBufs.Put(buf)
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.cfg.logf("encode %T response: %v", v, err)
+		code = http.StatusInternalServerError
+		buf.Reset()
+		buf.WriteString(internalErrorBody)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.metrics.writeFailures.Add(1)
 	}
 }

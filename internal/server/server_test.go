@@ -673,3 +673,80 @@ func TestLifecycle(t *testing.T) {
 		t.Fatal("drain did not complete")
 	}
 }
+
+// TestDerivedRateProbes: classes with finite inputs whose derived
+// rates the solvers cannot carry — rho overflowing to +Inf, a_r rho_r
+// underflowing to zero — are 422s with an {"error": ...} document on
+// every exact-tier endpoint and for both algorithms, not a 500 from a
+// panicking fill or a 200 with an empty body from unencodable NaNs.
+func TestDerivedRateProbes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	classes := map[string]string{
+		"rho overflows":   `{"a":1,"alpha":1e300,"mu":1e-300}`,
+		"rho underflows":  `{"a":1,"alpha":1e-300,"mu":1e300}`,
+		"slope overflows": `{"a":1,"alpha":1,"beta":1e300,"mu":1e-300}`,
+	}
+	requests := []struct{ path, extra string }{
+		{"/v1/blocking", ``},
+		{"/v1/blocking", `"algorithm":"alg2",`},
+		{"/v1/revenue", `"weights":[1,2],`},
+		{"/v1/revenue", `"weights":[1,2],"gradients":true,`},
+		{"/v1/admission", `"class":1,"weights":[1,2],`},
+		{"/v1/admission", `"class":1,"policy":"reservation","limits":[4,4],"state":[0,0],`},
+		{"/v1/sweep", `"points":[{"n1":2,"n2":3}],`},
+		{"/v1/sweep", `"algorithm":"alg2","points":[{"n1":2,"n2":3}],`},
+		{"/v1/grid", `"points":[{"n1":3}],`},
+	}
+	for name, class := range classes {
+		for _, req := range requests {
+			body := `{` + req.extra + `"n1":4,"n2":4,"units":"route","classes":[{"a":1,"alpha":0.1,"mu":1},` + class + `]}`
+			resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]string
+			if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &doc) != nil || doc["error"] == "" {
+				t.Errorf("%s %s %s: status %d body %q, want 422 with an error document",
+					name, req.path, req.extra, resp.StatusCode, data)
+			}
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure: a response value JSON cannot encode
+// reaches the client as a counted 500 with an error document, never
+// as the handler's 2xx with a truncated body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.instrument("/v1/blocking", func(w http.ResponseWriter, _ *http.Request) error {
+		s.writeJSON(w, http.StatusOK, map[string]float64{"blocking": math.NaN()})
+		return nil
+	})
+	before := s.metrics.Snapshot().Endpoints["/v1/blocking"].Errors
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/blocking", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	var doc map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc["error"] != "internal error" {
+		t.Errorf("body %q, want the internal error document", rec.Body.String())
+	}
+	if got := s.metrics.Snapshot().Endpoints["/v1/blocking"].Errors; got != before+1 {
+		t.Errorf("endpoint errors %d, want %d", got, before+1)
+	}
+	// An encodable document still goes out as is, with its status.
+	rec = httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusAccepted, map[string]float64{"blocking": 0.25})
+	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"blocking\":0.25}\n" {
+		t.Errorf("encodable document: status %d body %q", rec.Code, rec.Body.String())
+	}
+}
