@@ -515,36 +515,51 @@ func refBearingRec(t types.Type, seen map[types.Type]bool) bool {
 	return false
 }
 
-// forEachCall walks n without entering function literals or go/defer
-// statements.
+// forEachCall walks n's calls without entering function literals or
+// go/defer statements.
 func forEachCall(n ast.Node, f func(*ast.CallExpr)) {
-	if _, ok := n.(*implicitReturn); ok {
-		return // synthetic node, not walkable
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			f(m)
+	walkNode(n, func(m ast.Node) {
+		if call, ok := m.(*ast.CallExpr); ok {
+			f(call)
 		}
-		return true
 	})
 }
 
 // forEachIdent walks n's identifier uses without entering function
 // literals or go/defer statements.
 func forEachIdent(n ast.Node, f func(*ast.Ident)) {
-	if _, ok := n.(*implicitReturn); ok {
+	walkNode(n, func(m ast.Node) {
+		if id, ok := m.(*ast.Ident); ok {
+			f(id)
+		}
+	})
+}
+
+// walkNode walks one CFG node. A case or comm clause stands for its
+// head only (the case expressions, the send or receive): its body
+// statements are CFG nodes of their own, so walking them here too would
+// apply a release in the body twice.
+func walkNode(n ast.Node, f func(ast.Node)) {
+	switch n := n.(type) {
+	case *implicitReturn:
 		return // synthetic node, not walkable
+	case *ast.CaseClause:
+		for _, e := range n.List {
+			walkNode(e, f)
+		}
+		return
+	case *ast.CommClause:
+		if n.Comm != nil {
+			walkNode(n.Comm, f)
+		}
+		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
+		switch m.(type) {
 		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
-		case *ast.Ident:
-			f(m)
 		}
+		f(m)
 		return true
 	})
 }

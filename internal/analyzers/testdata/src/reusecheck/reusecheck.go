@@ -93,3 +93,59 @@ func allowedScratch(p *pool) float64 {
 	//lint:allow reusecheck the pool is single-threaded in this harness
 	return it.buf[0]
 }
+
+// genericPool is a recycling pool declared on a generic type: calls
+// go through an instantiation (genericPool[*item]), whose method
+// object differs from the declared one the directive sits on.
+type genericPool[V any] struct {
+	free []V
+}
+
+//lint:pooled
+func (p *genericPool[V]) release(v V) {
+	p.free = append(p.free, v)
+}
+
+func genericUseAfterRelease(p *genericPool[*item], it *item) float64 {
+	p.release(it)
+	return it.buf[0] // want "it used after release"
+}
+
+func genericDeferOK(p *genericPool[*item], it *item) float64 {
+	defer p.release(it)
+	return it.buf[0]
+}
+
+// A release inside a select or switch case body is one release: the
+// clause stands for its head only, the body statements for themselves.
+func selectReleaseOK(p *pool, done chan struct{}) float64 {
+	it, _ := p.get()
+	select {
+	case <-done:
+		p.put(it)
+		return 0
+	default:
+	}
+	return it.buf[0]
+}
+
+func switchReleaseOK(p *pool, k int) float64 {
+	it, _ := p.get()
+	switch k {
+	case 0:
+		p.put(it)
+		return 0
+	}
+	return it.buf[0]
+}
+
+func selectUseAfterRelease(p *pool, done chan struct{}) float64 {
+	it, _ := p.get()
+	select {
+	case <-done:
+		p.put(it)
+		return it.buf[0] // want "it used after release"
+	default:
+		return 0
+	}
+}

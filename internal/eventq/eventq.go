@@ -10,16 +10,7 @@
 // walks the tree, one write per level instead of the three a pairwise
 // swap costs, and the 4-ary layout halves the tree depth of the
 // binary heap for the same length.
-//
-// Calendar is a bucketed calendar queue specialized for the
-// simulator's departure workload, where almost every event is
-// scheduled within a few mean holding times of the current clock:
-// push and pop are O(1) amortized instead of O(log n). It requires
-// the monotone-clock contract (every Push at or after the last Pop)
-// that a discrete-event loop satisfies by construction.
 package eventq
-
-import "math"
 
 // Queue is a 4-ary min-heap of (time, payload) pairs. Not safe for
 // concurrent use; each simulator owns its queue. The zero value is
@@ -120,187 +111,4 @@ func (q *Queue[T]) Pop() (at float64, v T) {
 		q.items[i] = moved
 	}
 	return top.at, top.v
-}
-
-// Calendar is a bucketed calendar queue: time is divided into
-// fixed-width buckets covering a sliding window of buckets*width;
-// events beyond the window overflow into a heap and are drained
-// bucket-ward when the window advances past them. With the window
-// sized to a few mean holding times and the bucket count to the
-// expected number of pending events, each bucket holds O(1) events
-// and push/pop are O(1) amortized.
-//
-// Contract: every Push time must be at or after the time of the most
-// recent Pop (the monotone simulation clock). Events pushed behind
-// the current bucket's range — legal under that contract when the
-// cursor has skipped over empty buckets — are clamped into the
-// current bucket, which keeps ordering exact because the current
-// bucket is always drained by minimum scan.
-type Calendar[T any] struct {
-	buckets  [][]item[T]
-	width    float64
-	invWidth float64
-	start    float64 // time at which bucket 0's range begins
-	cur      int     // bucket currently being drained
-	n        int     // events in buckets + overflow
-	overflow Queue[T]
-	// Cached minimum of buckets[cur]; idx < 0 means unknown.
-	minIdx int
-	minAt  float64
-}
-
-// NewCalendar returns a calendar queue with the given bucket width
-// and bucket count (rounded up to a power of two, minimum 8). width
-// must be positive; pick the mean gap between successive events —
-// for the simulator's departures, mean holding time over the number
-// of concurrent connections.
-func NewCalendar[T any](width float64, buckets int) *Calendar[T] {
-	if width <= 0 {
-		//lint:allow libpanic construction-time invariant; a non-positive width is a caller bug
-		panic("eventq: NewCalendar needs width > 0")
-	}
-	nb := 8
-	for nb < buckets {
-		nb *= 2
-	}
-	return &Calendar[T]{
-		buckets:  make([][]item[T], nb),
-		width:    width,
-		invWidth: 1 / width,
-		minIdx:   -1,
-	}
-}
-
-// Reset empties the calendar in place, keeping every bucket's backing
-// array for reuse and rewinding the window to time zero.
-func (c *Calendar[T]) Reset() {
-	for i := range c.buckets {
-		clear(c.buckets[i])
-		c.buckets[i] = c.buckets[i][:0]
-	}
-	c.overflow.Reset()
-	c.start = 0
-	c.cur = 0
-	c.n = 0
-	c.minIdx = -1
-}
-
-// Len returns the number of pending events.
-func (c *Calendar[T]) Len() int { return c.n }
-
-// Push schedules a payload at the given time, which must be at or
-// after the time of the most recent Pop.
-func (c *Calendar[T]) Push(at float64, v T) {
-	c.n++
-	// The float comparison guards the int conversion below: a
-	// far-future time could overflow int and alias into the window.
-	if at >= c.start+c.width*float64(len(c.buckets)) {
-		c.overflow.Push(at, v)
-		return
-	}
-	idx := int((at - c.start) * c.invWidth)
-	if idx >= len(c.buckets) {
-		idx = len(c.buckets) - 1
-	}
-	if idx < c.cur {
-		// Behind the cursor (the clock already passed that bucket's
-		// range): clamp into the current bucket, where the min scan
-		// still orders it correctly.
-		idx = c.cur
-	}
-	c.buckets[idx] = append(c.buckets[idx], item[T]{at: at, v: v})
-	if idx == c.cur && c.minIdx >= 0 {
-		if at < c.minAt {
-			c.minIdx = len(c.buckets[idx]) - 1
-			c.minAt = at
-		}
-	}
-}
-
-// settle advances the cursor to the next non-empty bucket, shifting
-// the window over the overflow heap when the current window is
-// exhausted, and caches the current bucket's minimum. It reports
-// whether any event is pending.
-func (c *Calendar[T]) settle() bool {
-	if c.n == 0 {
-		return false
-	}
-	for {
-		b := c.buckets[c.cur]
-		if len(b) > 0 {
-			if c.minIdx < 0 {
-				m := 0
-				for j := 1; j < len(b); j++ {
-					if b[j].at < b[m].at {
-						m = j
-					}
-				}
-				c.minIdx = m
-				c.minAt = b[m].at
-			}
-			return true
-		}
-		c.minIdx = -1
-		c.cur++
-		if c.cur < len(c.buckets) {
-			continue
-		}
-		// Window exhausted: every remaining event lives in the
-		// overflow heap. Jump the window to the earliest of them and
-		// drain everything that now fits into buckets.
-		span := c.width * float64(len(c.buckets))
-		c.start += span
-		if at, ok := c.overflow.PeekTime(); ok && at >= c.start+span {
-			// Jump over empty windows in one step, keeping start on
-			// the original span grid (float arithmetic: the jump may
-			// be astronomically far, beyond int range in widths).
-			c.start += math.Floor((at-c.start)/span) * span
-		}
-		c.cur = 0
-		limit := c.start + span
-		for {
-			at, ok := c.overflow.PeekTime()
-			if !ok || at >= limit {
-				break
-			}
-			_, v := c.overflow.Pop()
-			idx := int((at - c.start) * c.invWidth)
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(c.buckets) {
-				idx = len(c.buckets) - 1
-			}
-			c.buckets[idx] = append(c.buckets[idx], item[T]{at: at, v: v})
-		}
-	}
-}
-
-// PeekTime returns the earliest scheduled time, with ok = false when
-// the calendar is empty.
-func (c *Calendar[T]) PeekTime() (at float64, ok bool) {
-	if !c.settle() {
-		return 0, false
-	}
-	return c.minAt, true
-}
-
-// Pop removes and returns the earliest event. It panics on an empty
-// calendar — popping nothing is always a simulator logic error.
-func (c *Calendar[T]) Pop() (at float64, v T) {
-	if !c.settle() {
-		//lint:allow libpanic heap discipline invariant, same contract as Queue.Pop
-		panic("eventq: Pop on empty calendar")
-	}
-	b := c.buckets[c.cur]
-	m := c.minIdx
-	at, v = b[m].at, b[m].v
-	last := len(b) - 1
-	b[m] = b[last]
-	var zero item[T]
-	b[last] = zero // release payload references
-	c.buckets[c.cur] = b[:last]
-	c.n--
-	c.minIdx = -1
-	return at, v
 }

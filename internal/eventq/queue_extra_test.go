@@ -2,7 +2,6 @@ package eventq
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 
@@ -107,68 +106,6 @@ func FuzzHeapProperty(f *testing.F) {
 			t.Fatalf("length drifted: queue %d, reference %d", q.Len(), len(live))
 		}
 	})
-}
-
-// TestCalendarMatchesHeap drives a calendar and a heap with the same
-// monotone-clock workload and checks they pop identical sequences.
-func TestCalendarMatchesHeap(t *testing.T) {
-	s := rng.NewStream(123)
-	cal := NewCalendar[int](0.5, 16)
-	heap := New[int](0)
-	clock := 0.0
-	pushed := 0
-	for step := 0; step < 5000; step++ {
-		if pushed == 0 || s.Uint64()%2 == 0 {
-			// Mix near-future, far-future (overflow) and behind-cursor
-			// (clamped) schedule times.
-			var at float64
-			switch s.Uint64() % 8 {
-			case 0:
-				at = clock + s.Float64()*100 // overflow territory
-			case 1:
-				at = clock // exactly now
-			default:
-				at = clock + s.Float64()*2
-			}
-			cal.Push(at, step)
-			heap.Push(at, step)
-			pushed++
-		} else {
-			ca, _ := cal.Pop()
-			ha, _ := heap.Pop()
-			// Pop times must agree exactly; payloads may differ only
-			// when two events share one instant (the structures order
-			// ties differently, which the simulator tolerates — see
-			// Config.CalendarQueue).
-			if ca != ha {
-				t.Fatalf("step %d: calendar popped t=%v, heap t=%v", step, ca, ha)
-			}
-			clock = ca
-			pushed--
-		}
-	}
-	if cal.Len() != heap.Len() {
-		t.Fatalf("length mismatch: calendar %d, heap %d", cal.Len(), heap.Len())
-	}
-}
-
-// TestCalendarResetReuse pins the calendar's reuse contract.
-func TestCalendarResetReuse(t *testing.T) {
-	cal := NewCalendar[int](1, 8)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 50; i++ {
-			cal.Push(float64(i)*0.3, i)
-		}
-		last := math.Inf(-1)
-		for cal.Len() > 0 {
-			at, _ := cal.Pop()
-			if at < last {
-				t.Fatalf("round %d: order regressed", round)
-			}
-			last = at
-		}
-		cal.Reset()
-	}
 }
 
 // BenchmarkQueuePushPop measures the steady-state cost of the heap's

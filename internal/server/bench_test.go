@@ -68,8 +68,8 @@ func BenchmarkClusterAggregateHitRate(b *testing.B) {
 	b.StopTimer()
 	var hits, misses int64
 	for _, s := range f.srvs {
-		hits += s.metrics.cacheHits.Load() + s.metrics.cacheShared.Load()
-		misses += s.metrics.cacheMisses.Load()
+		hits += s.metrics.cache.hits.Load() + s.metrics.cache.shared.Load()
+		misses += s.metrics.cache.misses.Load()
 	}
 	if misses > int64(len(specs)) {
 		b.Fatalf("fleet misses = %d, want <= %d (one fill per distinct key)", misses, len(specs))

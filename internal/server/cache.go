@@ -3,333 +3,171 @@ package server
 import (
 	"container/list"
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
-
-	"xbar/internal/core"
+	"errors"
+	"sync"
 )
 
-// Algorithm names accepted by the API (with the "algorithm1" /
-// "algorithm2" long forms normalized in the handlers).
-const (
-	alg1 = "alg1"
-	alg2 = "alg2"
-)
+// errFillPanicked is the error every waiter on a fill that panicked
+// receives. The fill's own caller re-panics instead, so instrument
+// answers it 500 and logs the panic; the key is fillable again at
+// once.
+var errFillPanicked = errors.New("server: cache fill panicked")
 
-// solverEntry is one cached operating point: a filled sweep solver
-// for either Algorithm 1 or Algorithm 2. Exactly one of sweep and mva
-// is non-nil.
-//
-// The sweep layers memoize their reads and the revenue analysis keeps
-// re-solve scratch, neither of which is safe for concurrent use, so
-// every read of an entry happens under mu. refs and doomed belong to
-// the owning cache and are guarded by the cache lock, not mu.
-type solverEntry struct {
-	mu    chan struct{} // 1-slot semaphore: lockable with a context
-	alg   string
-	sweep *core.SweepSolver
-	mva   *core.MVASweepSolver
+// cache is the LRU in front of every served path: up to max values
+// keyed by a canonical operating-point key, with single-flight fills
+// and per-entry reference counts. The solver path caches filled
+// lattices and recycles evicted ones through onEvict; the scenario
+// path caches immutable results and passes no hook. Maps and list are
+// guarded by mu; fills run outside it.
+type cache[V any] struct {
+	mu    sync.Mutex
+	max   int
+	ll    *list.List            // resident handles, front = most recently used
+	items map[string]*handle[V] // resident and in-flight handles
 
-	refs   int  // requests currently holding the entry (cache lock)
-	doomed bool // evicted while referenced; recycle on last release
+	// onEvict, when non-nil, runs once per evicted value, when its last
+	// reference drops (at eviction if none is held), outside mu.
+	onEvict func(V)
+	stats   *cacheStats
 }
 
-// lock acquires the entry's read lock, giving up when ctx expires —
-// a request queued behind a long revenue-gradient read on the same
-// operating point times out instead of hanging past its deadline.
-func (e *solverEntry) lock(ctx context.Context) error {
-	select {
-	case e.mu <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (e *solverEntry) unlock() { <-e.mu }
-
-// switchModel returns the canonical switch the lattice was filled for.
-func (e *solverEntry) switchModel() core.Switch {
-	if e.sweep != nil {
-		return e.sweep.Switch()
-	}
-	return e.mva.Switch()
-}
-
-// resultAt reads the sub-switch measures off the retained lattice.
-// Callers hold the entry lock.
-func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
-	if e.sweep != nil {
-		return e.sweep.ResultAt(n1, n2)
-	}
-	return e.mva.ResultAt(n1, n2)
-}
-
-// result reads the full-size measures. Callers hold the entry lock.
-func (e *solverEntry) result() *core.Result {
-	if e.sweep != nil {
-		return e.sweep.Result()
-	}
-	return e.mva.Result()
-}
-
-// flight is one in-progress lattice fill that concurrent identical
-// requests attach to instead of filling their own.
-type flight struct {
-	done chan struct{} // closed once e and err are final
-	e    *solverEntry
+// handle is one key's value, from the fill that produces it until its
+// last reference drops. v and err are final once done is closed.
+type handle[V any] struct {
+	v    V
 	err  error
+	done chan struct{}
 
-	// waiters and completed are guarded by the cache lock. waiters
-	// counts the requests that will take a reference when the fill
-	// lands; a waiter that abandons (context expiry) before completion
-	// decrements it, one that abandons after releases its granted ref.
-	waiters   int
-	completed bool
+	key     string
+	el      *list.Element // position in ll while resident, else nil
+	refs    int           // requests holding or awaiting v (cache lock)
+	evicted bool          // left ll; onEvict runs on the last release
 }
 
-// cacheItem is the LRU bookkeeping for one entry.
-type cacheItem struct {
-	key string
-	e   *solverEntry
-}
-
-// solverCache is the LRU of filled solvers with single-flight
-// deduplication and Reuse recycling. All maps and lists are guarded
-// by mu; lattice fills run outside it.
-type solverCache struct {
-	mu      chan struct{} // 1-slot semaphore used as a plain mutex
-	max     int
-	ll      *list.List               // front = most recently used
-	items   map[string]*list.Element // key -> element of ll
-	flights map[string]*flight
-
-	// free pools recycle the retained lattices of evicted entries:
-	// the next miss of the same algorithm refills in place
-	// (SweepSolver.Reuse) instead of allocating a fresh grid.
-	freeAlg1 []*core.SweepSolver
-	freeAlg2 []*core.MVASweepSolver
-
-	fill    core.Options
-	metrics *Metrics
-}
-
-// maxFreeSolvers bounds each recycling pool: beyond this, evicted
-// lattices are dropped to the GC rather than pinned forever.
-const maxFreeSolvers = 4
-
-func newSolverCache(maxEntries int, fill core.Options, m *Metrics) *solverCache {
-	c := &solverCache{
-		mu:      make(chan struct{}, 1),
+func newCache[V any](maxEntries int, onEvict func(V), stats *cacheStats) *cache[V] {
+	return &cache[V]{
 		max:     maxEntries,
 		ll:      list.New(),
-		items:   make(map[string]*list.Element),
-		flights: make(map[string]*flight),
-		fill:    fill,
-		metrics: m,
+		items:   make(map[string]*handle[V]),
+		onEvict: onEvict,
+		stats:   stats,
 	}
-	return c
 }
 
-func (c *solverCache) lock()   { c.mu <- struct{}{} }
-func (c *solverCache) unlock() { <-c.mu }
-
-// cacheKey canonicalizes one operating point. Class names are
-// deliberately excluded — they do not enter the numerics — and so is
-// the fill schedule: results are bit-identical across worker counts
-// and tile sizes (core's TestParallelFillBitIdentical), so a result
-// computed under any schedule serves every schedule.
-func cacheKey(alg string, sw core.Switch) string {
-	var b strings.Builder
-	b.Grow(32 + 80*len(sw.Classes))
-	b.WriteString(alg)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(sw.N1))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(sw.N2))
-	for _, cl := range sw.Classes {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(cl.A))
-		b.WriteByte(':')
-		// 'x' (hexadecimal) formatting is exact: two keys collide only
-		// for bit-identical parameters.
-		b.WriteString(strconv.FormatFloat(cl.Alpha, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Beta, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Mu, 'x', -1, 64))
-	}
-	return b.String()
-}
-
-// get returns the entry for (alg, sw), filling the lattice on a miss.
-// Concurrent identical requests share one fill. cached reports
-// whether the entry came from the cache (or a shared in-flight fill)
-// rather than a fill this call ran. The caller must release the
-// entry with release once done reading it.
-func (c *solverCache) get(ctx context.Context, alg string, sw core.Switch) (e *solverEntry, cached bool, err error) {
-	key := cacheKey(alg, sw)
-	c.lock()
-	if el, ok := c.items[key]; ok {
-		it := el.Value.(*cacheItem)
-		c.ll.MoveToFront(el)
-		it.e.refs++
-		c.unlock()
-		c.metrics.cacheHits.Add(1)
-		return it.e, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		f.waiters++
-		c.unlock()
-		c.metrics.cacheShared.Add(1)
+// get returns the handle for key, running fill on a miss. Concurrent
+// identical requests share one fill; its error is shared with them but
+// never cached. cached reports whether the value came from the cache
+// or a shared in-flight fill rather than a fill this call ran. On
+// success the caller holds a reference and must pass the handle to
+// release once done reading it.
+func (c *cache[V]) get(ctx context.Context, key string, fill func() (V, error)) (h *handle[V], cached bool, err error) {
+	c.mu.Lock()
+	if h = c.items[key]; h != nil {
+		h.refs++ // granted now, so the value cannot be evicted from under us
+		if h.el != nil {
+			c.ll.MoveToFront(h.el)
+			c.mu.Unlock()
+			c.stats.hits.Add(1)
+			return h, true, nil
+		}
+		c.mu.Unlock()
+		c.stats.shared.Add(1)
 		select {
-		case <-f.done:
-			// The close happens after e/err are final; our reference
-			// was granted at completion (refs covered every registered
-			// waiter), so on success the entry cannot have been
-			// recycled out from under us.
-			return f.e, true, f.err
-		case <-ctx.Done():
-			c.lock()
-			if f.completed {
-				if f.err == nil {
-					c.releaseLocked(f.e)
-				}
-			} else {
-				f.waiters--
+		case <-h.done:
+			if h.err != nil {
+				return nil, true, h.err
 			}
-			c.unlock()
+			return h, true, nil
+		case <-ctx.Done():
+			c.release(h)
 			return nil, false, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.unlock()
-	c.metrics.cacheMisses.Add(1)
-
-	e, err = c.build(alg, sw)
-
-	c.lock()
-	delete(c.flights, key)
-	f.e, f.err = e, err
-	f.completed = true
-	if err == nil {
-		e.refs = 1 + f.waiters // this call's ref plus every waiter's
-		el := c.ll.PushFront(&cacheItem{key: key, e: e})
-		c.items[key] = el
-		c.evictLocked()
+	h = &handle[V]{done: make(chan struct{}), key: key, refs: 1}
+	c.items[key] = h
+	c.mu.Unlock()
+	c.stats.misses.Add(1)
+	c.run(h, fill)
+	if h.err != nil {
+		return nil, false, h.err
 	}
-	c.unlock()
-	close(f.done)
-	return e, false, err
+	return h, false, nil
 }
 
-// release returns a reference taken by get. The last release of an
-// entry that was evicted while referenced recycles its lattice — the
-// caller must not read the entry (or Results served off it) after
-// releasing.
+// run fills h and completes its flight. The completion is deferred so
+// that a panicking fill still completes it — with errFillPanicked —
+// before the panic carries on up the caller's stack; otherwise every
+// later request for the key would wait on the flight until its
+// deadline.
+func (c *cache[V]) run(h *handle[V], fill func() (V, error)) {
+	var v V
+	err := errFillPanicked
+	defer func() {
+		var idle *handle[V]
+		c.mu.Lock()
+		h.v, h.err = v, err
+		if err != nil {
+			delete(c.items, h.key)
+			h.refs = 0 // a failed handle holds no references
+		} else {
+			h.el = c.ll.PushFront(h)
+			if c.ll.Len() > c.max { // only completions insert: one over at most
+				idle = c.evictLocked()
+			}
+		}
+		c.mu.Unlock()
+		close(h.done)
+		c.dispose(idle)
+	}()
+	v, err = fill()
+}
+
+// evictLocked drops the least recently used value and returns its
+// handle if no request holds it, for dispose. A value still referenced
+// is disposed of on its last release instead: recycling a lattice a
+// request is still reading would let the next miss refill it mid-read.
+func (c *cache[V]) evictLocked() *handle[V] {
+	old := c.ll.Remove(c.ll.Back()).(*handle[V])
+	delete(c.items, old.key)
+	old.el = nil
+	old.evicted = true
+	c.stats.evictions.Add(1)
+	if old.refs > 0 {
+		return nil
+	}
+	return old
+}
+
+// release returns a reference taken by get. After the last release of
+// an evicted value the hook may recycle it, so the caller must not
+// read the value (or anything served off it) after releasing.
 //
 //lint:pooled
-func (c *solverCache) release(e *solverEntry) {
-	c.lock()
-	c.releaseLocked(e)
-	c.unlock()
-}
-
-//lint:pooled
-func (c *solverCache) releaseLocked(e *solverEntry) {
-	e.refs--
-	if e.refs == 0 && e.doomed {
-		e.doomed = false
-		c.recycleLocked(e)
+func (c *cache[V]) release(h *handle[V]) {
+	c.mu.Lock()
+	idle := false
+	if h.err == nil {
+		h.refs--
+		idle = h.refs == 0 && h.evicted
+	}
+	c.mu.Unlock()
+	if idle {
+		c.dispose(h)
 	}
 }
 
-// evictLocked trims the LRU to capacity. Entries still referenced by
-// in-flight requests are marked doomed and recycled on last release;
-// recycling a lattice that a request is still reading would let the
-// next miss refill it mid-read.
-func (c *solverCache) evictLocked() {
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		it := oldest.Value.(*cacheItem)
-		delete(c.items, it.key)
-		c.metrics.cacheEvictions.Add(1)
-		if it.e.refs > 0 {
-			it.e.doomed = true
-		} else {
-			c.recycleLocked(it.e)
-		}
+// dispose hands an evicted, unreferenced value to the hook, outside
+// the cache lock. h may be nil.
+func (c *cache[V]) dispose(h *handle[V]) {
+	if h != nil && c.onEvict != nil {
+		c.onEvict(h.v)
 	}
 }
 
-// recycleLocked returns an evicted entry's solver to its free pool.
-//
-//lint:pooled
-func (c *solverCache) recycleLocked(e *solverEntry) {
-	switch {
-	case e.sweep != nil && len(c.freeAlg1) < maxFreeSolvers:
-		c.freeAlg1 = append(c.freeAlg1, e.sweep)
-	case e.mva != nil && len(c.freeAlg2) < maxFreeSolvers:
-		c.freeAlg2 = append(c.freeAlg2, e.mva)
-	}
-}
-
-// build fills a lattice for the operating point, recycling a pooled
-// solver when one is available. Runs outside the cache lock — this is
-// the expensive part single-flight protects.
-func (c *solverCache) build(alg string, sw core.Switch) (*solverEntry, error) {
-	switch alg {
-	case alg1:
-		c.lock()
-		var s *core.SweepSolver
-		if n := len(c.freeAlg1); n > 0 {
-			s, c.freeAlg1 = c.freeAlg1[n-1], c.freeAlg1[:n-1]
-			c.metrics.solversRecycled.Add(1)
-		} else {
-			s = &core.SweepSolver{}
-		}
-		c.unlock()
-		if err := s.Reuse(sw, c.fill); err != nil {
-			// Reuse validates before touching the lattice, so the
-			// solver is still coherent; pool it again.
-			c.lock()
-			if len(c.freeAlg1) < maxFreeSolvers {
-				c.freeAlg1 = append(c.freeAlg1, s)
-			}
-			c.unlock()
-			return nil, err
-		}
-		return &solverEntry{mu: make(chan struct{}, 1), alg: alg, sweep: s}, nil
-	case alg2:
-		c.lock()
-		var s *core.MVASweepSolver
-		if n := len(c.freeAlg2); n > 0 {
-			s, c.freeAlg2 = c.freeAlg2[n-1], c.freeAlg2[:n-1]
-			c.metrics.solversRecycled.Add(1)
-		} else {
-			s = &core.MVASweepSolver{}
-		}
-		c.unlock()
-		if err := s.Reuse(sw, c.fill); err != nil {
-			c.lock()
-			if len(c.freeAlg2) < maxFreeSolvers {
-				c.freeAlg2 = append(c.freeAlg2, s)
-			}
-			c.unlock()
-			return nil, err
-		}
-		return &solverEntry{mu: make(chan struct{}, 1), alg: alg, mva: s}, nil
-	}
-	return nil, fmt.Errorf("server: unknown algorithm %q", alg)
-}
-
-// len reports the number of cached entries (not counting in-flight
+// len reports the number of resident values (not counting in-flight
 // fills).
-func (c *solverCache) len() int {
-	c.lock()
-	defer c.unlock()
+func (c *cache[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.ll.Len()
 }

@@ -129,7 +129,7 @@ func (f *testFleet) ownerOf(t testing.TB, spec SwitchSpec) string {
 func (f *testFleet) fleetMisses() int64 {
 	var total int64
 	for _, s := range f.srvs {
-		total += s.metrics.cacheMisses.Load()
+		total += s.metrics.cache.misses.Load()
 	}
 	return total
 }
@@ -204,7 +204,7 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 	if servedBy != other {
 		t.Errorf("served by %q, want the non-owner %q (no re-forward)", servedBy, other)
 	}
-	if misses := f.srvs[other].metrics.cacheMisses.Load(); misses != 1 {
+	if misses := f.srvs[other].metrics.cache.misses.Load(); misses != 1 {
 		t.Errorf("non-owner misses = %d, want 1 (computed locally)", misses)
 	}
 	if fwd := f.srvs[other].cluster.Snapshot().Forwards; fwd != 0 {
@@ -396,10 +396,10 @@ func TestClusterHotKeyReplication(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for f.srvs[other].metrics.cacheMisses.Load() == 0 && time.Now().Before(deadline) {
+	for f.srvs[other].metrics.cache.misses.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if misses := f.srvs[other].metrics.cacheMisses.Load(); misses != 1 {
+	if misses := f.srvs[other].metrics.cache.misses.Load(); misses != 1 {
 		t.Fatalf("successor misses = %d, want 1 (replication fill)", misses)
 	}
 	// DrainReplication only empties the queue; the worker may still be
@@ -414,9 +414,9 @@ func TestClusterHotKeyReplication(t *testing.T) {
 	// The successor now answers the key from its own cache: posting
 	// there with the forwarded marker (as a failover client would after
 	// the owner dies) is a hit, not a fill.
-	hitsBefore := f.srvs[other].metrics.cacheHits.Load()
+	hitsBefore := f.srvs[other].metrics.cache.hits.Load()
 	f.post(t, other, "/v1/blocking", req, map[string]string{cluster.HeaderForwarded: owner})
-	if hits := f.srvs[other].metrics.cacheHits.Load(); hits != hitsBefore+1 {
+	if hits := f.srvs[other].metrics.cache.hits.Load(); hits != hitsBefore+1 {
 		t.Errorf("successor hits %d -> %d, want a warm hit", hitsBefore, hits)
 	}
 }

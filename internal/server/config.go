@@ -5,17 +5,18 @@
 //
 // The layer is built for sustained concurrent traffic:
 //
-//   - an LRU solver cache keyed by the canonicalized model
-//     (algorithm, dimensions, per-route classes — names and fill
-//     schedule excluded, results are bit-identical across schedules)
-//     so repeated evaluations of one operating point share a single
-//     lattice fill;
+//   - one LRU cache type for solvers and scenario results, keyed by
+//     the canonicalized model (for solvers: algorithm, dimensions,
+//     per-route classes — names and fill schedule excluded, results
+//     are bit-identical across schedules) so repeated evaluations of
+//     one operating point share a single fill;
 //   - single-flight deduplication, so concurrent identical requests
 //     wait for one fill instead of racing N of them;
 //   - Solver.Reuse recycling: evicted entries return their lattices to
 //     a free pool and the next miss refills in place of allocating;
 //   - a bounded solve semaphore sized against the wavefront worker
-//     pool, so concurrent fills do not oversubscribe GOMAXPROCS;
+//     pool, taken by fills only, so concurrent fills do not
+//     oversubscribe GOMAXPROCS;
 //   - strict input validation (finite floats, dimension and class
 //     caps, unknown-field rejection), request body limits, per-request
 //     timeouts and graceful drain.
@@ -76,8 +77,9 @@ type Config struct {
 	// are costlier than sweep points (each may be a distinct lattice
 	// fill), so the default is smaller: 256.
 	MaxGridPoints int
-	// MaxConcurrent bounds the solves and lattice reads in flight at
-	// once (the solver semaphore). Default runtime.GOMAXPROCS(0).
+	// MaxConcurrent bounds the cache fills (lattice fills and scenario
+	// evaluations) in flight at once (the solve semaphore); cache hits
+	// take no slot. Default runtime.GOMAXPROCS(0).
 	MaxConcurrent int
 	// NodeID names this node in a cluster; it must be a key of Peers.
 	// Ignored (may stay empty) when Peers is empty.

@@ -246,15 +246,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	for _, ck := range order {
 		g := groups[ck]
 		groupSw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
-		e, cached, err := s.withEntry(r, alg, groupSw)
+		h, cached, err := s.withEntry(r, alg, groupSw)
 		if err != nil {
 			return err
 		}
+		e := h.v
 		if cached {
 			resp.Cached++
 		}
 		if err := e.lock(r.Context()); err != nil {
-			s.cache.release(e)
+			s.cache.release(h)
 			return overloaded(err)
 		}
 		resp.Method = e.result().Method
@@ -266,7 +267,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 			resp.Results[i] = row
 		}
 		e.unlock()
-		s.cache.release(e)
+		s.cache.release(h)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	return nil

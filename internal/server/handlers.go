@@ -214,11 +214,12 @@ func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
 	if s.maybeForward(w, r, body, cacheKey(alg, sw)) {
 		return nil
 	}
-	e, cached, err := s.withEntry(r, alg, sw)
+	h, cached, err := s.withEntry(r, alg, sw)
 	if err != nil {
 		return err
 	}
-	defer s.cache.release(e)
+	defer s.cache.release(h)
+	e := h.v
 	if err := e.lock(r.Context()); err != nil {
 		return overloaded(err)
 	}
@@ -324,11 +325,12 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
 	// reads and gradient re-solves run on the scaled lattice.
-	e, cached, err := s.withEntry(r, alg1, sw)
+	h, cached, err := s.withEntry(r, alg1, sw)
 	if err != nil {
 		return err
 	}
-	defer s.cache.release(e)
+	defer s.cache.release(h)
+	e := h.v
 	if err := e.lock(r.Context()); err != nil {
 		return overloaded(err)
 	}
@@ -443,11 +445,12 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 		if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
 			return nil
 		}
-		e, cached, err := s.withEntry(r, alg1, sw)
+		h, cached, err := s.withEntry(r, alg1, sw)
 		if err != nil {
 			return err
 		}
-		defer s.cache.release(e)
+		defer s.cache.release(h)
+		e := h.v
 		if err := e.lock(r.Context()); err != nil {
 			return overloaded(err)
 		}
@@ -628,11 +631,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if s.maybeForward(w, r, body, cacheKey(alg, entrySw)) {
 		return nil
 	}
-	e, cached, err := s.withEntry(r, alg, entrySw)
+	h, cached, err := s.withEntry(r, alg, entrySw)
 	if err != nil {
 		return err
 	}
-	defer s.cache.release(e)
+	defer s.cache.release(h)
+	e := h.v
 	if err := e.lock(r.Context()); err != nil {
 		return overloaded(err)
 	}
@@ -677,28 +681,31 @@ func sweepRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 	return sr
 }
 
-// withEntry acquires a solver slot and resolves the cache entry for
-// the operating point. The slot is released before returning: the
+// withEntry resolves the cache entry for the operating point, filling
+// its lattice on a miss. Only the fill takes a solve slot: the
 // semaphore bounds concurrent lattice fills (the CPU-heavy part),
-// while entry reads are serialized per entry by the entry lock.
-func (s *Server) withEntry(r *http.Request, alg string, sw core.Switch) (*solverEntry, bool, error) {
-	release, err := s.acquire(r.Context())
-	if err != nil {
-		return nil, false, overloaded(err)
-	}
-	defer release()
-	e, cached, err := s.cache.get(r.Context(), alg, sw)
+// while hits and requests sharing another's fill pass straight
+// through, and entry reads are serialized per entry by the entry lock.
+func (s *Server) withEntry(r *http.Request, alg string, sw core.Switch) (*handle[*solverEntry], bool, error) {
+	h, cached, err := s.cache.get(r.Context(), cacheKey(alg, sw), func() (*solverEntry, error) {
+		release, err := s.acquire(r.Context())
+		if err != nil {
+			return nil, overloaded(err)
+		}
+		defer release()
+		return s.solvers.fill(alg, sw)
+	})
 	if err != nil {
 		var api *apiError
-		if errors.As(err, &api) {
-			return nil, false, err
+		if errors.As(err, &api) || errors.Is(err, errFillPanicked) {
+			return nil, false, err // errFillPanicked renders as a 500
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, false, overloaded(err)
 		}
 		return nil, false, &apiError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
-	return e, cached, nil
+	return h, cached, nil
 }
 
 // overloaded maps context expiry (semaphore or entry-lock wait) onto

@@ -30,19 +30,20 @@ type endpointMetrics struct {
 // document, cheap enough to scrape every second.
 type Metrics struct {
 	inFlight        atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	cacheShared     atomic.Int64
-	cacheEvictions  atomic.Int64
+	cache           cacheStats
 	solversRecycled atomic.Int64
+	scCache         cacheStats
 	writeFailures   atomic.Int64
 
-	scenarioHits      atomic.Int64
-	scenarioMisses    atomic.Int64
-	scenarioShared    atomic.Int64
-	scenarioEvictions atomic.Int64
-
 	endpoints map[string]*endpointMetrics
+}
+
+// cacheStats is one cache's lookup counters.
+type cacheStats struct {
+	hits      atomic.Int64
+	misses    atomic.Int64
+	shared    atomic.Int64 // attached to another request's in-flight fill
+	evictions atomic.Int64
 }
 
 // newMetrics builds the counter set for a fixed endpoint list. The
@@ -135,17 +136,17 @@ func (m *Metrics) Snapshot() Snapshot {
 		InFlight:      m.inFlight.Load(),
 		WriteFailures: m.writeFailures.Load(),
 		Cache: CacheSnapshot{
-			Hits:            m.cacheHits.Load(),
-			Misses:          m.cacheMisses.Load(),
-			SharedInFlight:  m.cacheShared.Load(),
-			Evictions:       m.cacheEvictions.Load(),
+			Hits:            m.cache.hits.Load(),
+			Misses:          m.cache.misses.Load(),
+			SharedInFlight:  m.cache.shared.Load(),
+			Evictions:       m.cache.evictions.Load(),
 			SolversRecycled: m.solversRecycled.Load(),
 		},
 		ScenarioCache: ScenarioCacheSnapshot{
-			Hits:           m.scenarioHits.Load(),
-			Misses:         m.scenarioMisses.Load(),
-			SharedInFlight: m.scenarioShared.Load(),
-			Evictions:      m.scenarioEvictions.Load(),
+			Hits:           m.scCache.hits.Load(),
+			Misses:         m.scCache.misses.Load(),
+			SharedInFlight: m.scCache.shared.Load(),
+			Evictions:      m.scCache.evictions.Load(),
 		},
 		Endpoints: make(map[string]EndpointSnapshot, len(m.endpoints)),
 	}

@@ -2,108 +2,13 @@ package server
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"xbar/internal/scenario"
 )
-
-// scenarioFlight is one in-progress scenario evaluation that concurrent
-// identical requests attach to instead of evaluating their own copy.
-type scenarioFlight struct {
-	done chan struct{} // closed once res and err are final
-	res  *scenario.Result
-	err  error
-}
-
-// scenarioItem is the LRU bookkeeping for one cached result.
-type scenarioItem struct {
-	key string
-	res *scenario.Result
-}
-
-// scenarioCache is the LRU of evaluated scenario results with
-// single-flight deduplication. It is the simple cousin of solverCache:
-// a cached *scenario.Result is immutable and never recycled, so there
-// is no reference counting, no entry lock and no free pool — hits hand
-// out the shared pointer and the response path only reads it.
-type scenarioCache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List               // front = most recently used
-	items   map[string]*list.Element // key -> element of ll
-	flights map[string]*scenarioFlight
-	metrics *Metrics
-}
-
-func newScenarioCache(maxEntries int, m *Metrics) *scenarioCache {
-	return &scenarioCache{
-		max:     maxEntries,
-		ll:      list.New(),
-		items:   make(map[string]*list.Element),
-		flights: make(map[string]*scenarioFlight),
-		metrics: m,
-	}
-}
-
-// get returns the full result for key, running fill on a miss.
-// Concurrent identical requests share one fill; errors are shared with
-// the flight's waiters but never cached. cached reports whether the
-// result came from the cache or a shared in-flight evaluation.
-func (c *scenarioCache) get(ctx context.Context, key string, fill func() (*scenario.Result, error)) (res *scenario.Result, cached bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		res := el.Value.(*scenarioItem).res
-		c.mu.Unlock()
-		c.metrics.scenarioHits.Add(1)
-		return res, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.metrics.scenarioShared.Add(1)
-		select {
-		case <-f.done:
-			return f.res, true, f.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	f := &scenarioFlight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-	c.metrics.scenarioMisses.Add(1)
-
-	res, err = fill()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	f.res, f.err = res, err
-	if err == nil {
-		c.items[key] = c.ll.PushFront(&scenarioItem{key: key, res: res})
-		for c.ll.Len() > c.max {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*scenarioItem).key)
-			c.metrics.scenarioEvictions.Add(1)
-		}
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return res, false, err
-}
-
-// len reports the number of cached results (not counting in-flight
-// evaluations).
-func (c *scenarioCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
 
 // scenarioLimits derives the scenario validation limits from the server
 // configuration: the dimension and class caps follow the ones the
@@ -185,7 +90,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
 	// The cache stores one full measure set per canonical key (the key
 	// excludes the measure filter), so requests differing only in their
 	// filter share an entry; the filter applies on the way out.
-	full, cached, err := s.scCache.get(r.Context(), spec.Key(), func() (*scenario.Result, error) {
+	h, cached, err := s.scCache.get(r.Context(), spec.Key(), func() (*scenario.Result, error) {
 		release, err := s.acquire(r.Context())
 		if err != nil {
 			return nil, overloaded(err)
@@ -205,6 +110,8 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
 		}
 		return s.scenarioError(w, err)
 	}
+	defer s.scCache.release(h)
+	full := h.v
 
 	resp := ScenarioResponse{Discipline: full.Discipline, Cached: cached, Measures: []ScenarioMeasure{}}
 	add := func(m scenario.Measure) {

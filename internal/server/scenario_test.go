@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,121 +236,326 @@ func TestScenarioConfigValidate(t *testing.T) {
 	}
 }
 
-// TestScenarioCacheUnit drives scenarioCache directly through the
-// branches the endpoint tests cannot reach deterministically: LRU
-// eviction, single-flight sharing (success and error), the
-// error-not-cached rule, and a waiter abandoning a flight.
+// testCache is a cache[V] instantiated as the scenario path's, with a
+// release hook that counts its calls per value.
+type testCache struct {
+	*cache[*scenario.Result]
+	stats    *cacheStats
+	hookMu   sync.Mutex
+	disposed map[string]int // guarded by hookMu
+}
+
+func newTestCache(maxEntries int) *testCache {
+	tc := &testCache{stats: &cacheStats{}, disposed: map[string]int{}}
+	tc.cache = newCache(maxEntries, func(r *scenario.Result) {
+		tc.hookMu.Lock()
+		tc.disposed[r.Discipline]++
+		tc.hookMu.Unlock()
+	}, tc.stats)
+	return tc
+}
+
+// disposals reports how many times the hook ran for the value named v.
+func (tc *testCache) disposals(v string) int {
+	tc.hookMu.Lock()
+	defer tc.hookMu.Unlock()
+	return tc.disposed[v]
+}
+
+// mustGet runs a get that must succeed and returns its handle.
+func (tc *testCache) mustGet(t *testing.T, key string, wantCached bool) *handle[*scenario.Result] {
+	t.Helper()
+	h, cached, err := tc.get(context.Background(), key, func() (*scenario.Result, error) {
+		return &scenario.Result{Discipline: key}, nil
+	})
+	if err != nil || cached != wantCached || h.v.Discipline != key {
+		t.Fatalf("get(%q) = (%v, cached %v, err %v), want cached %v", key, h, cached, err, wantCached)
+	}
+	return h
+}
+
+// blockedFill starts a get of key whose fill waits for release after
+// entering; it returns once the fill has entered. The get's handle (or
+// error) arrives on the returned channel; fill's result is what the
+// flight completes with, and it may panic.
+func (tc *testCache) blockedFill(key string, fill func() (*scenario.Result, error)) (release chan struct{}, done chan fillOutcome) {
+	entered := make(chan struct{})
+	release = make(chan struct{})
+	done = make(chan fillOutcome, 1)
+	go func() {
+		var o fillOutcome
+		defer func() {
+			o.panicked = recover()
+			done <- o
+		}()
+		o.h, o.cached, o.err = tc.get(context.Background(), key, func() (*scenario.Result, error) {
+			close(entered)
+			<-release
+			return fill()
+		})
+	}()
+	<-entered
+	return release, done
+}
+
+type fillOutcome struct {
+	h        *handle[*scenario.Result]
+	cached   bool
+	err      error
+	panicked any
+}
+
+// waitShared blocks until n gets have attached to in-flight fills.
+func (tc *testCache) waitShared(n int64) {
+	for tc.stats.shared.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// quiescent checks the cache holds no flight and no reference.
+func (tc *testCache) quiescent(t *testing.T) {
+	t.Helper()
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for k, h := range tc.items {
+		if h.el == nil {
+			t.Errorf("key %q still has a flight", k)
+		}
+		if h.refs != 0 {
+			t.Errorf("key %q holds %d references", k, h.refs)
+		}
+	}
+	if len(tc.items) != tc.ll.Len() {
+		t.Errorf("%d keys indexed, %d resident", len(tc.items), tc.ll.Len())
+	}
+}
+
+// TestScenarioCacheUnit drives cache[V], as the scenario path
+// instantiates it, through the lifecycle branches the endpoint tests
+// cannot reach deterministically: hits and misses, LRU eviction,
+// single-flight sharing, fill errors and panics, waiters abandoning a
+// flight, and the release hook of a value evicted while referenced.
+// Every case must end with no flight and no reference outstanding.
 func TestScenarioCacheUnit(t *testing.T) {
 	t.Parallel()
-	mkRes := func(name string) *scenario.Result {
-		return &scenario.Result{Discipline: name}
+	res := func(name string) func() (*scenario.Result, error) {
+		return func() (*scenario.Result, error) { return &scenario.Result{Discipline: name}, nil }
 	}
-
-	t.Run("eviction", func(t *testing.T) {
-		m := newMetrics()
-		c := newScenarioCache(2, m)
-		ctx := context.Background()
-		for _, k := range []string{"a", "b", "c"} {
-			if _, cached, err := c.get(ctx, k, func() (*scenario.Result, error) { return mkRes(k), nil }); err != nil || cached {
-				t.Fatalf("get(%q) = cached %v, err %v", k, cached, err)
+	cases := []struct {
+		name string
+		max  int
+		run  func(t *testing.T, tc *testCache)
+	}{
+		{"hit and miss", 4, func(t *testing.T, tc *testCache) {
+			h := tc.mustGet(t, "a", false)
+			tc.release(h)
+			h2 := tc.mustGet(t, "a", true)
+			if h2 != h {
+				t.Error("hit returned a different handle")
 			}
-		}
-		if n := c.len(); n != 2 {
-			t.Errorf("len = %d after eviction, want 2", n)
-		}
-		if got := m.scenarioEvictions.Load(); got != 1 {
-			t.Errorf("evictions = %d, want 1", got)
-		}
-		// "a" was the LRU victim; "b" and "c" must still hit.
-		if _, cached, _ := c.get(ctx, "b", nil); !cached {
-			t.Error(`"b" evicted, want retained`)
-		}
-		if _, cached, err := c.get(ctx, "a", func() (*scenario.Result, error) { return mkRes("a"), nil }); cached || err != nil {
-			t.Errorf(`"a" retained past eviction: cached %v, err %v`, cached, err)
-		}
-	})
-
-	t.Run("single flight", func(t *testing.T) {
-		m := newMetrics()
-		c := newScenarioCache(4, m)
-		ctx := context.Background()
-		entered := make(chan struct{})
-		release := make(chan struct{})
-		res := mkRes("shared")
-		go func() {
-			c.get(ctx, "k", func() (*scenario.Result, error) {
-				close(entered)
-				<-release
-				return res, nil
-			})
-		}()
-		<-entered
-		type out struct {
-			res    *scenario.Result
-			cached bool
-			err    error
-		}
-		got := make(chan out, 1)
-		go func() {
-			r, cached, err := c.get(ctx, "k", func() (*scenario.Result, error) {
-				t.Error("second fill ran; want shared flight")
-				return nil, nil
-			})
-			got <- out{r, cached, err}
-		}()
-		// The waiter must be attached to the flight before we release it.
-		for m.scenarioShared.Load() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		close(release)
-		o := <-got
-		if o.err != nil || !o.cached || o.res != res {
-			t.Errorf("shared waiter got (%v, cached %v, err %v), want the flight's result", o.res, o.cached, o.err)
-		}
-		if hits, misses := m.scenarioHits.Load(), m.scenarioMisses.Load(); misses != 1 || hits != 0 {
-			t.Errorf("hits %d misses %d, want 0 and 1", hits, misses)
-		}
-	})
-
-	t.Run("errors shared but not cached", func(t *testing.T) {
-		m := newMetrics()
-		c := newScenarioCache(4, m)
-		ctx := context.Background()
-		boom := errors.New("unevaluable")
-		if _, _, err := c.get(ctx, "k", func() (*scenario.Result, error) { return nil, boom }); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want %v", err, boom)
-		}
-		if n := c.len(); n != 0 {
-			t.Fatalf("error cached: len = %d", n)
-		}
-		// The next identical request evaluates afresh.
-		if _, cached, err := c.get(ctx, "k", func() (*scenario.Result, error) { return mkRes("k"), nil }); cached || err != nil {
-			t.Errorf("retry after error: cached %v, err %v", cached, err)
-		}
-		if got := m.scenarioMisses.Load(); got != 2 {
-			t.Errorf("misses = %d, want 2", got)
-		}
-	})
-
-	t.Run("waiter context canceled", func(t *testing.T) {
-		m := newMetrics()
-		c := newScenarioCache(4, m)
-		entered := make(chan struct{})
-		release := make(chan struct{})
-		go func() {
-			c.get(context.Background(), "k", func() (*scenario.Result, error) {
-				close(entered)
-				<-release
-				return mkRes("k"), nil
-			})
-		}()
-		<-entered
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, cached, err := c.get(ctx, "k", nil)
-		if !errors.Is(err, context.Canceled) || cached {
-			t.Errorf("canceled waiter got cached %v, err %v, want context.Canceled", cached, err)
-		}
-		close(release)
-	})
+			tc.release(h2)
+			if hits, misses := tc.stats.hits.Load(), tc.stats.misses.Load(); hits != 1 || misses != 1 {
+				t.Errorf("hits %d misses %d, want 1 and 1", hits, misses)
+			}
+			if n := tc.len(); n != 1 {
+				t.Errorf("len = %d, want 1", n)
+			}
+		}},
+		{"eviction", 2, func(t *testing.T, tc *testCache) {
+			for _, k := range []string{"a", "b", "c"} {
+				tc.release(tc.mustGet(t, k, false))
+			}
+			if n := tc.len(); n != 2 {
+				t.Errorf("len = %d after eviction, want 2", n)
+			}
+			if got := tc.stats.evictions.Load(); got != 1 {
+				t.Errorf("evictions = %d, want 1", got)
+			}
+			// "a" was the LRU victim, unreferenced, so the hook ran at once.
+			if got := tc.disposals("a"); got != 1 {
+				t.Errorf("hook ran %d times for the evicted value, want 1", got)
+			}
+			tc.release(tc.mustGet(t, "b", true))
+			tc.release(tc.mustGet(t, "a", false))
+		}},
+		{"single flight", 4, func(t *testing.T, tc *testCache) {
+			release, leader := tc.blockedFill("k", res("k"))
+			waiter := make(chan fillOutcome, 1)
+			go func() {
+				var o fillOutcome
+				o.h, o.cached, o.err = tc.get(context.Background(), "k", func() (*scenario.Result, error) {
+					t.Error("second fill ran; want shared flight")
+					return nil, nil
+				})
+				waiter <- o
+			}()
+			tc.waitShared(1)
+			close(release)
+			l, w := <-leader, <-waiter
+			if l.err != nil || l.cached || w.err != nil || !w.cached || w.h != l.h {
+				t.Errorf("leader (cached %v, err %v), waiter (cached %v, err %v, same handle %v)", l.cached, l.err, w.cached, w.err, w.h == l.h)
+			}
+			tc.release(l.h)
+			tc.release(w.h)
+			if hits, misses := tc.stats.hits.Load(), tc.stats.misses.Load(); misses != 1 || hits != 0 {
+				t.Errorf("hits %d misses %d, want 0 and 1", hits, misses)
+			}
+		}},
+		{"errors shared but not cached", 4, func(t *testing.T, tc *testCache) {
+			boom := errors.New("unevaluable")
+			release, leader := tc.blockedFill("k", func() (*scenario.Result, error) { return nil, boom })
+			waiter := make(chan error, 1)
+			go func() {
+				_, _, err := tc.get(context.Background(), "k", nil)
+				waiter <- err
+			}()
+			tc.waitShared(1)
+			close(release)
+			if l := <-leader; !errors.Is(l.err, boom) || l.h != nil {
+				t.Errorf("leader got (%v, %v), want %v", l.h, l.err, boom)
+			}
+			if err := <-waiter; !errors.Is(err, boom) {
+				t.Errorf("waiter got %v, want %v", err, boom)
+			}
+			if n := tc.len(); n != 0 {
+				t.Fatalf("error cached: len = %d", n)
+			}
+			// The next identical request fills afresh.
+			tc.release(tc.mustGet(t, "k", false))
+			if got := tc.stats.misses.Load(); got != 2 {
+				t.Errorf("misses = %d, want 2", got)
+			}
+		}},
+		{"waiter context canceled", 4, func(t *testing.T, tc *testCache) {
+			// The waiter abandons before completion: its reference is
+			// dropped, so only the leader's remains to release.
+			release, leader := tc.blockedFill("k", res("k"))
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if h, cached, err := tc.get(ctx, "k", nil); !errors.Is(err, context.Canceled) || cached || h != nil {
+				t.Errorf("canceled waiter got (%v, cached %v, err %v), want context.Canceled", h, cached, err)
+			}
+			close(release)
+			l := <-leader
+			if l.err != nil {
+				t.Fatal(l.err)
+			}
+			tc.release(l.h)
+		}},
+		{"waiter abandons after completion", 1, func(t *testing.T, tc *testCache) {
+			// The waiter is granted its reference by the shared fill,
+			// then gives up (as a handler does when the entry lock times
+			// out). Its release is the last one of the evicted value.
+			release, leader := tc.blockedFill("k", res("k"))
+			waiter := make(chan fillOutcome, 1)
+			go func() {
+				var o fillOutcome
+				o.h, o.cached, o.err = tc.get(context.Background(), "k", nil)
+				waiter <- o
+			}()
+			tc.waitShared(1)
+			close(release)
+			l, w := <-leader, <-waiter
+			if l.err != nil || w.err != nil {
+				t.Fatalf("leader %v, waiter %v", l.err, w.err)
+			}
+			tc.release(l.h)
+			tc.release(tc.mustGet(t, "other", false)) // evicts "k"
+			if got := tc.disposals("k"); got != 0 {
+				t.Errorf("hook ran %d times before the waiter released, want 0", got)
+			}
+			tc.release(w.h)
+			if got := tc.disposals("k"); got != 1 {
+				t.Errorf("hook ran %d times after the waiter released, want 1", got)
+			}
+		}},
+		{"waiter abandons as the fill completes", 2, func(t *testing.T, tc *testCache) {
+			// The fill cancels its waiter and completes at once, so the
+			// waiter's release races the completion; either order must
+			// leave no reference and dispose of each evicted value once.
+			const rounds = 50
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("k%d", i)
+				ctx, cancel := context.WithCancel(context.Background())
+				waiter := make(chan fillOutcome, 1)
+				release, leader := tc.blockedFill(key, func() (*scenario.Result, error) {
+					cancel()
+					return &scenario.Result{Discipline: key}, nil
+				})
+				go func() {
+					var o fillOutcome
+					o.h, o.cached, o.err = tc.get(ctx, key, nil)
+					waiter <- o
+				}()
+				tc.waitShared(int64(i + 1))
+				close(release)
+				l, w := <-leader, <-waiter
+				if w.err == nil {
+					tc.release(w.h)
+				} else if !errors.Is(w.err, context.Canceled) {
+					t.Errorf("round %d: waiter got %v", i, w.err)
+				}
+				tc.release(l.h)
+			}
+			// Every evicted value was disposed of exactly once.
+			for i := 0; i < rounds-2; i++ {
+				if got := tc.disposals(fmt.Sprintf("k%d", i)); got != 1 {
+					t.Errorf("k%d: hook ran %d times, want 1", i, got)
+				}
+			}
+		}},
+		{"evicted while referenced", 1, func(t *testing.T, tc *testCache) {
+			h1 := tc.mustGet(t, "a", false)
+			h2 := tc.mustGet(t, "a", true)
+			tc.release(tc.mustGet(t, "b", false)) // evicts "a" while referenced twice
+			if got := tc.stats.evictions.Load(); got != 1 {
+				t.Errorf("evictions = %d, want 1", got)
+			}
+			if got := tc.disposals("a"); got != 0 {
+				t.Errorf("hook ran %d times while referenced, want 0", got)
+			}
+			if h1.v.Discipline != "a" {
+				t.Error("value cleared while referenced")
+			}
+			tc.release(h1)
+			if got := tc.disposals("a"); got != 0 {
+				t.Errorf("hook ran %d times with one reference left, want 0", got)
+			}
+			tc.release(h2)
+			if got := tc.disposals("a"); got != 1 {
+				t.Errorf("hook ran %d times after the last release, want 1", got)
+			}
+			tc.release(tc.mustGet(t, "a", false))
+		}},
+		{"panicking fill", 4, func(t *testing.T, tc *testCache) {
+			release, leader := tc.blockedFill("k", func() (*scenario.Result, error) { panic("boom") })
+			waiter := make(chan error, 1)
+			go func() {
+				_, _, err := tc.get(context.Background(), "k", nil)
+				waiter <- err
+			}()
+			tc.waitShared(1)
+			close(release)
+			if l := <-leader; l.panicked != "boom" {
+				t.Errorf("leader recovered %v, want the fill's panic", l.panicked)
+			}
+			if err := <-waiter; !errors.Is(err, errFillPanicked) {
+				t.Errorf("waiter got %v, want errFillPanicked", err)
+			}
+			if n := tc.len(); n != 0 {
+				t.Errorf("len = %d after the panic, want 0", n)
+			}
+			tc.quiescent(t)
+			// The key is not poisoned: the next get fills again.
+			tc.release(tc.mustGet(t, "k", false))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			tc := newTestCache(c.max)
+			c.run(t, tc)
+			tc.quiescent(t)
+		})
+	}
 }

@@ -26,9 +26,10 @@ import (
 type Server struct {
 	cfg      Config
 	metrics  *Metrics
-	cache    *solverCache
+	cache    *cache[*solverEntry]
+	solvers  *solverPool
 	scenario *scenario.Engine
-	scCache  *scenarioCache
+	scCache  *cache[*scenario.Result]
 	cluster  *cluster.Cluster // nil when cfg.Peers is empty
 	sem      chan struct{}
 	now      func() time.Time
@@ -64,10 +65,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	m := newMetrics(endpointNames...)
+	solvers := &solverPool{opts: cfg.fillOptions(), recycled: &m.solversRecycled}
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
-		cache:   newSolverCache(cfg.CacheSize, cfg.fillOptions(), m),
+		cache:   newCache(cfg.CacheSize, solvers.put, &m.cache),
+		solvers: solvers,
 		// The scenario engine runs memo-less: the server-side result
 		// cache (LRU + single-flight) is the memo, and caching twice
 		// would pin every evicted result forever.
@@ -76,7 +79,7 @@ func New(cfg Config) (*Server, error) {
 			Limits: cfg.scenarioLimits(),
 			Grid:   grid.Options{Workers: cfg.Workers, Tile: cfg.Tile},
 		}),
-		scCache: newScenarioCache(cfg.ScenarioCacheSize, m),
+		scCache: newCache[*scenario.Result](cfg.ScenarioCacheSize, nil, &m.scCache),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		now:     time.Now, //lint:allow detrand wall-clock latency metrics; the analytical engine itself stays clock-free
 	}
@@ -227,7 +230,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	s.writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// acquire claims a solver slot, giving up when ctx expires.
+// acquire claims a fill slot, giving up when ctx expires.
 func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:

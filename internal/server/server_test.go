@@ -606,17 +606,79 @@ func TestEntryLockTimeout(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
 		t.Fatalf("priming status %d", code)
 	}
-	e, _, err := s.cache.get(context.Background(), alg1, paperSwitch(8))
+	h, _, err := s.cache.get(context.Background(), cacheKey(alg1, paperSwitch(8)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.cache.release(e)
-	if err := e.lock(context.Background()); err != nil {
+	defer s.cache.release(h)
+	if err := h.v.lock(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer e.unlock()
+	defer h.v.unlock()
 	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("status %d with the entry locked, want 503", code)
+	}
+}
+
+// TestSemaphoreBoundsFillsOnly pins the admission rule: the solve
+// semaphore bounds lattice fills, so with every slot taken a cache hit
+// is still served while a miss times out into a 503.
+func TestSemaphoreBoundsFillsOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 200 * time.Millisecond})
+	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
+		t.Fatalf("priming status %d", code)
+	}
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
+		t.Errorf("cache hit with the semaphore full: status %d, want 200", code)
+	}
+	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(10)}, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("cache miss with the semaphore full: status %d, want 503", code)
+	}
+}
+
+// TestPanickingFillAnswers500 pins that a fill which panics neither
+// poisons its key nor leaves its waiters to time out: a request
+// sharing the flight gets a 500, and the next request fills afresh.
+func TestPanickingFillAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: 5 * time.Second})
+	key := cacheKey(alg1, paperSwitch(8))
+	entered, boom := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		s.cache.get(context.Background(), key, func() (*solverEntry, error) {
+			close(entered)
+			<-boom
+			panic("fill failed on purpose")
+		})
+	}()
+	<-entered
+	code := make(chan int, 1)
+	buf, _ := json.Marshal(BlockingRequest{SwitchSpec: paperSpec(8)})
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/blocking", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	for s.metrics.cache.shared.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(boom)
+	if p := <-leader; p != "fill failed on purpose" {
+		t.Errorf("leader recovered %v, want the fill's panic", p)
+	}
+	if c := <-code; c != http.StatusInternalServerError {
+		t.Errorf("waiter on the panicked fill: status %d, want 500", c)
+	}
+	var br BlockingResponse
+	if c := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, &br); c != http.StatusOK || br.Cached {
+		t.Errorf("retry after the panic: status %d, cached %v; want a fresh 200", c, br.Cached)
 	}
 }
 

@@ -1,0 +1,172 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"xbar/internal/core"
+)
+
+// Algorithm names accepted by the API (with the "algorithm1" /
+// "algorithm2" long forms normalized in the handlers).
+const (
+	alg1 = "alg1"
+	alg2 = "alg2"
+)
+
+// solverEntry is one cached operating point: a filled sweep solver
+// for either Algorithm 1 or Algorithm 2. Exactly one of sweep and mva
+// is non-nil.
+//
+// The sweep layers memoize their reads and the revenue analysis keeps
+// re-solve scratch, neither of which is safe for concurrent use, so
+// every read of an entry happens under mu.
+type solverEntry struct {
+	mu    chan struct{} // 1-slot semaphore: lockable with a context
+	sweep *core.SweepSolver
+	mva   *core.MVASweepSolver
+}
+
+// lock acquires the entry's read lock, giving up when ctx expires —
+// a request queued behind a long revenue-gradient read on the same
+// operating point times out instead of hanging past its deadline.
+func (e *solverEntry) lock(ctx context.Context) error {
+	select {
+	case e.mu <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (e *solverEntry) unlock() { <-e.mu }
+
+// switchModel returns the canonical switch the lattice was filled for.
+func (e *solverEntry) switchModel() core.Switch {
+	if e.sweep != nil {
+		return e.sweep.Switch()
+	}
+	return e.mva.Switch()
+}
+
+// resultAt reads the sub-switch measures off the retained lattice.
+// Callers hold the entry lock.
+func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
+	if e.sweep != nil {
+		return e.sweep.ResultAt(n1, n2)
+	}
+	return e.mva.ResultAt(n1, n2)
+}
+
+// result reads the full-size measures. Callers hold the entry lock.
+func (e *solverEntry) result() *core.Result {
+	if e.sweep != nil {
+		return e.sweep.Result()
+	}
+	return e.mva.Result()
+}
+
+// cacheKey canonicalizes one operating point. Class names are
+// deliberately excluded — they do not enter the numerics — and so is
+// the fill schedule: results are bit-identical across worker counts
+// and tile sizes (core's TestParallelFillBitIdentical), so a result
+// computed under any schedule serves every schedule.
+func cacheKey(alg string, sw core.Switch) string {
+	var b strings.Builder
+	b.Grow(32 + 80*len(sw.Classes))
+	b.WriteString(alg)
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(sw.N1))
+	b.WriteByte('x')
+	b.WriteString(strconv.Itoa(sw.N2))
+	for _, cl := range sw.Classes {
+		b.WriteByte('|')
+		b.WriteString(strconv.Itoa(cl.A))
+		b.WriteByte(':')
+		// 'x' (hexadecimal) formatting is exact: two keys collide only
+		// for bit-identical parameters.
+		b.WriteString(strconv.FormatFloat(cl.Alpha, 'x', -1, 64))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatFloat(cl.Beta, 'x', -1, 64))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatFloat(cl.Mu, 'x', -1, 64))
+	}
+	return b.String()
+}
+
+// maxFreeSolvers bounds each recycling pool: beyond this, evicted
+// lattices are dropped to the GC rather than pinned forever.
+const maxFreeSolvers = 4
+
+// solverPool recycles the retained lattices of evicted entries: the
+// next miss of the same algorithm refills one in place
+// (SweepSolver.Reuse) instead of allocating a fresh grid.
+type solverPool struct {
+	mu       sync.Mutex
+	alg1     []*core.SweepSolver
+	alg2     []*core.MVASweepSolver
+	opts     core.Options
+	recycled *atomic.Int64
+}
+
+// fill fills a lattice for the operating point, on a pooled solver
+// when one is available.
+func (p *solverPool) fill(alg string, sw core.Switch) (*solverEntry, error) {
+	e := &solverEntry{mu: make(chan struct{}, 1)}
+	p.mu.Lock()
+	switch alg {
+	case alg1:
+		e.sweep = takeSolver(&p.alg1, p.recycled)
+	case alg2:
+		e.mva = takeSolver(&p.alg2, p.recycled)
+	default:
+		p.mu.Unlock()
+		return nil, fmt.Errorf("server: unknown algorithm %q", alg)
+	}
+	p.mu.Unlock()
+	var err error
+	if e.sweep != nil {
+		err = e.sweep.Reuse(sw, p.opts)
+	} else {
+		err = e.mva.Reuse(sw, p.opts)
+	}
+	if err != nil {
+		// Reuse validates before touching the lattice, so the solver
+		// is still coherent; pool it again.
+		p.put(e)
+		return nil, err
+	}
+	return e, nil
+}
+
+// takeSolver pops a pooled solver, or returns a new one. Callers hold
+// the pool lock.
+func takeSolver[S any](free *[]*S, recycled *atomic.Int64) *S {
+	n := len(*free)
+	if n == 0 {
+		return new(S)
+	}
+	s := (*free)[n-1]
+	*free = (*free)[:n-1]
+	recycled.Add(1)
+	return s
+}
+
+// put returns an evicted entry's solver to its free pool. It is the
+// solver cache's release hook.
+//
+//lint:pooled
+func (p *solverPool) put(e *solverEntry) {
+	p.mu.Lock()
+	switch {
+	case e.sweep != nil && len(p.alg1) < maxFreeSolvers:
+		p.alg1 = append(p.alg1, e.sweep)
+	case e.mva != nil && len(p.alg2) < maxFreeSolvers:
+		p.alg2 = append(p.alg2, e.mva)
+	}
+	p.mu.Unlock()
+}

@@ -30,31 +30,17 @@ func BenchmarkSimEvents(b *testing.B) {
 	benchEvents(b, Config{Switch: benchSwitch(), Seed: 42, Warmup: 200, Horizon: 5000})
 }
 
-// BenchmarkSimEventsCalendar is the same workload on the calendar
-// departure queue.
-func BenchmarkSimEventsCalendar(b *testing.B) {
-	benchEvents(b, Config{Switch: benchSwitch(), Seed: 42, Warmup: 200, Horizon: 5000,
-		CalendarQueue: true})
-}
-
 // BenchmarkSimEventsLarge scales the fabric to 128x128 with ~80
-// concurrent connections — the regime where the calendar queue's
-// O(1) schedule beats the heap's O(log n).
+// concurrent connections, beyond flatScheduleMax, so departures run
+// on the 4-ary heap.
 func BenchmarkSimEventsLarge(b *testing.B) {
 	sw := core.Switch{N1: 128, N2: 128, Classes: []core.Class{
 		{Name: "p1", A: 1, Alpha: 0.0043, Mu: 1},
 		{Name: "w2", A: 2, Alpha: 3.1e-7, Mu: 1},
 	}}
-	for _, cal := range []bool{false, true} {
-		name := "heap"
-		if cal {
-			name = "calendar"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchEvents(b, Config{Switch: sw, Seed: 42, Warmup: 100, Horizon: 500,
-				CalendarQueue: cal})
-		})
-	}
+	b.Run("heap", func(b *testing.B) {
+		benchEvents(b, Config{Switch: sw, Seed: 42, Warmup: 100, Horizon: 500})
+	})
 }
 
 func benchEvents(b *testing.B, cfg Config) {

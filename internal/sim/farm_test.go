@@ -122,29 +122,3 @@ func TestValidateAgainstAnalytic(t *testing.T) {
 		t.Errorf("max |z| = %.2f exceeds 4", v.MaxAbsZ)
 	}
 }
-
-// TestCalendarQueueMatchesDefault pins that the calendar departure
-// schedule reproduces the default schedule's results exactly on both
-// the flat-schedule regime and the heap regime.
-func TestCalendarQueueMatchesDefault(t *testing.T) {
-	configs := []Config{
-		{Switch: farmSwitch(), Seed: 31, Warmup: 50, Horizon: 600},
-		{Switch: core.Switch{N1: 96, N2: 96, Classes: []core.Class{
-			{Name: "p", A: 1, Alpha: 0.006, Mu: 1},
-		}}, Seed: 31, Warmup: 20, Horizon: 200},
-	}
-	for ci, cfg := range configs {
-		def, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
-		}
-		cfg.CalendarQueue = true
-		cal, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("config %d (calendar): %v", ci, err)
-		}
-		if !reflect.DeepEqual(def, cal) {
-			t.Errorf("config %d: calendar-queue result differs from default schedule", ci)
-		}
-	}
-}

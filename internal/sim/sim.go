@@ -82,14 +82,6 @@ type Config struct {
 	// must be safe for concurrent use (a pure function of its
 	// arguments is).
 	Admit AdmitFunc
-	// CalendarQueue selects the bucketed calendar queue for the
-	// departure schedule instead of the default 4-ary heap — O(1)
-	// amortized instead of O(log n), worthwhile for switches with
-	// hundreds of concurrent connections. Results are identical to
-	// the heap's whenever no two departures are scheduled at exactly
-	// the same instant, which holds almost surely for continuous
-	// holding-time distributions.
-	CalendarQueue bool
 }
 
 // AdmitFunc decides whether a class arrival may enter the fabric given
@@ -249,10 +241,9 @@ type state struct {
 	ports  []int32
 	free   []int32
 
-	// Departure schedule: exactly one of heap/cal is non-nil, unless
-	// useFlat selects the flat cached-min schedule below.
+	// Departure schedule: the 4-ary heap, unless useFlat selects the
+	// flat cached-min schedule below.
 	heap *eventq.Queue[conn]
-	cal  *eventq.Calendar[conn]
 
 	// Flat departure schedule, used for small fabrics (minN <=
 	// flatScheduleMax) instead of the heap: an unordered array with a
@@ -347,7 +338,6 @@ func newState(p runParams, cfg Config) *state {
 	}
 	s.invBatchLen = 1 / s.batchLen
 	maxA := 0
-	meanMax := 0.0
 	for r, c := range sw.Classes {
 		routes := combin.Perm(sw.N1, c.A) * combin.Perm(sw.N2, c.A)
 		cs := classSim{
@@ -368,9 +358,6 @@ func newState(p runParams, cfg Config) *state {
 		if e, ok := cs.service.(rng.Exponential); ok {
 			cs.expMean = e.M
 		}
-		if m := cs.service.Mean(); m > meanMax {
-			meanMax = m
-		}
 		s.classes = append(s.classes, cs)
 		if c.A > maxA {
 			maxA = c.A
@@ -389,21 +376,12 @@ func newState(p runParams, cfg Config) *state {
 	s.stride = 2 * maxA
 	s.ports = make([]int32, minN*s.stride)
 	s.free = make([]int32, 0, minN)
-	switch {
-	case cfg.CalendarQueue:
-		// Bucket width ~ the mean gap between departures at full
-		// occupancy; window ~ 4 mean holding times.
-		width := meanMax / float64(max(minN, 1))
-		if width <= 0 {
-			width = 1
-		}
-		s.cal = eventq.NewCalendar[conn](width, 4*minN+8)
-	case minN <= flatScheduleMax:
+	if minN <= flatScheduleMax {
 		s.useFlat = true
 		s.depAt = make([]float64, 0, minN)
 		s.depC = make([]conn, 0, minN)
 		s.depMin = -1
-	default:
+	} else {
 		s.heap = eventq.New[conn](minN)
 	}
 	return s
@@ -487,14 +465,11 @@ func (s *state) reset(stream *rng.Stream) {
 	for i := len(s.ports)/max(s.stride, 1) - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
 	}
-	switch {
-	case s.cal != nil:
-		s.cal.Reset()
-	case s.useFlat:
+	if s.useFlat {
 		s.depAt = s.depAt[:0]
 		s.depC = s.depC[:0]
 		s.depMin = -1
-	default:
+	} else {
 		s.heap.Reset()
 	}
 	for r := range s.classes {
@@ -648,12 +623,9 @@ func (s *state) runGeneric(maxEvents int64) error {
 		// Next event: earliest departure or class arrival.
 		var t float64
 		var ok bool
-		switch {
-		case s.useFlat:
+		if s.useFlat {
 			t, ok = s.flatPeek()
-		case s.cal != nil:
-			t, ok = s.cal.PeekTime()
-		default:
+		} else {
 			t, ok = s.heap.PeekTime()
 		}
 		kind := -1 // -1 none, -2 departure, r >= 0 arrival of class r
@@ -702,12 +674,9 @@ func (s *state) runGeneric(maxEvents int64) error {
 
 func (s *state) depart() {
 	var d conn
-	switch {
-	case s.useFlat:
+	if s.useFlat {
 		d = s.flatPop()
-	case s.cal != nil:
-		_, d = s.cal.Pop()
-	default:
+	} else {
 		_, d = s.heap.Pop()
 	}
 	r := int(d.class)
@@ -815,12 +784,9 @@ func (s *state) arrive(r int) {
 		hold = cs.service.Sample(s.rng)
 	}
 	d := conn{class: int32(r), slot: slot}
-	switch {
-	case s.useFlat:
+	if s.useFlat {
 		s.flatPush(s.now+hold, d)
-	case s.cal != nil:
-		s.cal.Push(s.now+hold, d)
-	default:
+	} else {
 		s.heap.Push(s.now+hold, d)
 	}
 	s.nextArr[r] = s.sampleArrival(s.now, cs, s.k[r])
