@@ -1,7 +1,8 @@
 // Sizing a very large optical fabric: the exact algorithms cost
 // O(N^2) lattice work per evaluation, which is fine up to a few
 // hundred ports but not for sweeping thousands. The endpoint
-// fixed-point approximation (internal/approx) answers in microseconds,
+// fixed-point approximation (asymptotic.EndpointFixedPoint, the
+// zeroth order of the large-N tier) answers in microseconds,
 // is exact in the N -> infinity limit, and comes with a closed-form
 // asymptote — enough to bracket a design before confirming the final
 // candidate with the exact mean-value algorithm.
@@ -14,7 +15,7 @@ import (
 	"log"
 	"time"
 
-	"xbar/internal/approx"
+	"xbar/internal/asymptotic"
 	"xbar/internal/core"
 )
 
@@ -33,13 +34,13 @@ func main() {
 	fmt.Println("bracketing with the O(R) endpoint fixed point:")
 	var chosen int
 	for _, n := range []int{25_000, 50_000, 100_000, 200_000, 400_000} {
-		sw := core.Switch{N1: n, N2: n, Classes: []core.Class{{
+		metro := []asymptotic.RateClass{{
 			Name: "metro", A: 1,
 			Alpha: demand / float64(n) / float64(n) / 1.0, // per ordered route
 			Mu:    1,
-		}}}
+		}}
 		t0 := time.Now()
-		res, err := approx.Solve(sw, 1e-12, 10000)
+		res, err := asymptotic.EndpointFixedPoint(n, n, metro, 1e-12, 10000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func main() {
 	// a given per-input intensity: useful as the floor for "can this
 	// demand density ever meet the target".
 	alphaTilde := demand / float64(chosen)
-	floor, err := approx.AsymptoticBlocking(alphaTilde)
+	floor, err := asymptotic.AsymptoticBlocking(alphaTilde)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +79,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ap, err := approx.Solve(pilot, 1e-12, 10000)
+	pc := pilot.Classes[0]
+	ap, err := asymptotic.EndpointFixedPoint(confirmN, confirmN, []asymptotic.RateClass{{Name: pc.Name, A: pc.A, Alpha: pc.Alpha, Mu: pc.Mu}}, 1e-12, 10000)
 	if err != nil {
 		log.Fatal(err)
 	}

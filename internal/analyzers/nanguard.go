@@ -8,7 +8,7 @@ import (
 )
 
 // NaNGuard flags exported float64-returning functions in the numeric
-// core (xbar/internal/core, internal/approx, internal/dist) whose
+// core (xbar/internal/core, internal/asymptotic, internal/dist) whose
 // bodies compute through math.Exp, math.Log, or floating-point
 // division without either (a) checking math.IsNaN / math.IsInf
 // somewhere in the body, or (b) documenting a domain precondition in
@@ -30,7 +30,7 @@ var NaNGuard = &Analyzer{
 // the numeric kernel of the reproduction.
 var nanguardPackages = []string{
 	"internal/core",
-	"internal/approx",
+	"internal/asymptotic",
 	"internal/dist",
 }
 

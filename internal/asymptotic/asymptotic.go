@@ -28,9 +28,9 @@
 //	m(z(s)) = s,   z(s) = (N1-s)(N2-s),
 //
 // where m is the tilted occupancy mean — the large-N limit of this
-// equation is exactly the endpoint-independence fixed point of
-// internal/approx, which is therefore the zeroth-order member of this
-// expansion. Around s* the summand is log-concave with curvature
+// equation is exactly the endpoint-independence fixed point
+// (EndpointFixedPoint), which is therefore the zeroth-order member of
+// this expansion. Around s* the summand is log-concave with curvature
 //
 //	1/sigma^2 = 1/v* + 1/(N1-s*) + 1/(N2-s*),
 //

@@ -1,4 +1,4 @@
-package approx
+package asymptotic_test
 
 import (
 	"errors"
@@ -6,14 +6,17 @@ import (
 	"strings"
 	"testing"
 
+	"xbar/internal/asymptotic"
 	"xbar/internal/core"
 )
 
-func relErr(a, b float64) float64 {
-	if b == 0 {
-		return math.Abs(a)
+// fixedPoint runs the endpoint fixed point on a core.Switch's classes.
+func fixedPoint(sw core.Switch, tol float64, maxIter int) (*asymptotic.FixedPoint, error) {
+	classes := make([]asymptotic.RateClass, len(sw.Classes))
+	for i, c := range sw.Classes {
+		classes[i] = asymptotic.RateClass{Name: c.Name, A: c.A, Alpha: c.Alpha, Beta: c.Beta, Mu: c.Mu}
 	}
-	return math.Abs(a-b) / math.Abs(b)
+	return asymptotic.EndpointFixedPoint(sw.N1, sw.N2, classes, tol, maxIter)
 }
 
 // TestAccuracyAtPaperOperatingPoint: within a few percent of the exact
@@ -27,7 +30,7 @@ func TestAccuracyAtPaperOperatingPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Solve(sw, 1e-12, 10000)
+		got, err := fixedPoint(sw, 1e-12, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +59,7 @@ func TestMultiRateAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(sw, 1e-12, 10000)
+	got, err := fixedPoint(sw, 1e-12, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestNonSquare(t *testing.T) {
 	sw := core.Switch{N1: 16, N2: 64, Classes: []core.Class{
 		{A: 1, Alpha: 0.002, Mu: 1},
 	}}
-	got, err := Solve(sw, 1e-12, 10000)
+	got, err := fixedPoint(sw, 1e-12, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestHighLoadStability(t *testing.T) {
 	sw := core.Switch{N1: 8, N2: 8, Classes: []core.Class{
 		{A: 1, Alpha: 0.5, Mu: 1}, // heavy overload
 	}}
-	got, err := Solve(sw, 1e-12, 100000)
+	got, err := fixedPoint(sw, 1e-12, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +116,12 @@ func TestRejectsBursty(t *testing.T) {
 		{A: 1, Alpha: 0.1, Mu: 1, Name: "ok"},
 		{A: 1, Alpha: 0.1, Beta: 0.05, Mu: 1, Name: "peaked"},
 	}}
-	_, err := Solve(sw, 1e-10, 1000)
+	_, err := fixedPoint(sw, 1e-10, 1000)
 	if err == nil {
 		t.Fatal("bursty class accepted")
 	}
-	if !errors.Is(err, ErrUnsupportedTraffic) {
-		t.Errorf("error %q does not wrap ErrUnsupportedTraffic", err)
+	if !errors.Is(err, asymptotic.ErrUnsupportedTraffic) {
+		t.Errorf("error %q does not wrap asymptotic.ErrUnsupportedTraffic", err)
 	}
 	for _, want := range []string{"class 1", "peaked"} {
 		if !strings.Contains(err.Error(), want) {
@@ -129,13 +132,13 @@ func TestRejectsBursty(t *testing.T) {
 
 func TestArgValidation(t *testing.T) {
 	sw := core.Switch{N1: 4, N2: 4, Classes: []core.Class{{A: 1, Alpha: 0.1, Mu: 1}}}
-	if _, err := Solve(sw, 0, 100); err == nil {
+	if _, err := fixedPoint(sw, 0, 100); err == nil {
 		t.Error("zero tolerance accepted")
 	}
-	if _, err := Solve(sw, 1e-10, 0); err == nil {
+	if _, err := fixedPoint(sw, 1e-10, 0); err == nil {
 		t.Error("zero maxIter accepted")
 	}
-	if _, err := Solve(core.Switch{}, 1e-10, 100); err == nil {
+	if _, err := fixedPoint(core.Switch{}, 1e-10, 100); err == nil {
 		t.Error("invalid switch accepted")
 	}
 }
@@ -146,7 +149,7 @@ func TestArgValidation(t *testing.T) {
 // point converges to it.
 func TestAsymptoticBlocking(t *testing.T) {
 	const alphaTilde = 0.0024
-	limit, err := AsymptoticBlocking(alphaTilde)
+	limit, err := asymptotic.AsymptoticBlocking(alphaTilde)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +181,14 @@ func TestAsymptoticBlocking(t *testing.T) {
 	// asymptote by construction.
 	sw := core.NewSwitch(4096, 4096,
 		core.AggregateClass{A: 1, AlphaTilde: alphaTilde, Mu: 1})
-	got, err := Solve(sw, 1e-14, 10000)
+	got, err := fixedPoint(sw, 1e-14, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relErr(got.Blocking[0], limit) > 1e-6 {
 		t.Errorf("fixed point at N=4096 gives %v, asymptote %v", got.Blocking[0], limit)
 	}
-	if _, err := AsymptoticBlocking(-1); err == nil {
+	if _, err := asymptotic.AsymptoticBlocking(-1); err == nil {
 		t.Error("negative load accepted")
 	}
 }

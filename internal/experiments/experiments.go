@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"xbar/internal/admission"
-	"xbar/internal/approx"
+	"xbar/internal/asymptotic"
 	"xbar/internal/clos"
 	"xbar/internal/core"
 	"xbar/internal/hotspot"
@@ -284,8 +284,9 @@ func Ablation(out string, _ bool) error {
 		}
 		poisson := core.NewSwitch(n, n,
 			core.AggregateClass{Name: "p", A: 1, AlphaTilde: 0.0024, Mu: 1})
+		pc := poisson.Classes[0]
 		t0 = time.Now() //lint:allow detrand wall-clock timing for the runtime column of the report
-		ap, err := approx.Solve(poisson, 1e-12, 10000)
+		ap, err := asymptotic.EndpointFixedPoint(n, n, []asymptotic.RateClass{{Name: pc.Name, A: pc.A, Alpha: pc.Alpha, Mu: pc.Mu}}, 1e-12, 10000)
 		if err != nil {
 			return err
 		}

@@ -6,32 +6,25 @@ import (
 
 	"xbar/internal/core"
 	"xbar/internal/grid"
-	"xbar/internal/parallel"
 )
 
 // Options configures an Engine.
 type Options struct {
 	// Grid configures the embedded grid.Engine that serves every
 	// product-form solve an adapter needs (the overflow Wilkinson fits,
-	// the retrial cleared anchor): scenario points join the same
-	// canonical-key fill groups and memo as /v1/grid points.
+	// the retrial cleared anchor).
 	Grid grid.Options
 	// Limits bounds admissible specs; zero fields take DefaultLimits.
 	Limits Limits
-	// NoMemo disables the scenario-level result memo. Evaluation still
-	// routes through the (memoizing) grid engine; a caller with its own
-	// result cache (the xbard endpoint) sets this to avoid caching
-	// twice.
+	// NoMemo makes the engine keep nothing across calls: New passes it
+	// on as Grid.NoMemo, so every product-form solve pays its own fill.
+	// A caller with its own result cache (the xbard endpoint) sets it,
+	// so that cache is the only memo on its path.
 	NoMemo bool
-	// Workers bounds EvaluateBatch's parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Stats is the engine's lifetime accounting.
 type Stats struct {
-	// Evaluations counts adapter runs; MemoHits counts Evaluate calls
-	// answered from the scenario memo.
-	Evaluations, MemoHits int
 	// Grid is the embedded grid engine's accounting.
 	Grid grid.Stats
 }
@@ -50,179 +43,51 @@ func (e *EvalError) Error() string {
 
 func (e *EvalError) Unwrap() error { return e.Err }
 
-// maxMemoEntries bounds the scenario memo; at the cap the memo is
-// flushed wholesale (epoch flush, the grid.Engine policy) rather than
-// tracking recency.
-const maxMemoEntries = 1 << 14
-
-// maxFreeSlices bounds the recycled measure-slice pool.
-const maxFreeSlices = 256
-
-// Engine evaluates scenario specs with deduplication and memoization.
-// An Engine is safe for concurrent use.
+// Engine evaluates scenario specs. It keeps no results of its own:
+// the only state carried across calls is the embedded grid engine's
+// memo of product-form solves (none under NoMemo). An Engine is safe
+// for concurrent use.
 type Engine struct {
-	opt  Options
 	lim  Limits
 	grid *grid.Engine
-
-	mu    sync.Mutex
-	memo  map[string]*Result
-	free  [][]Measure
-	stats Stats
 }
 
 // New builds an Engine.
 func New(opt Options) *Engine {
+	gopt := opt.Grid
+	gopt.NoMemo = gopt.NoMemo || opt.NoMemo
 	return &Engine{
-		opt:  opt,
 		lim:  opt.Limits.withDefaults(),
-		grid: grid.New(opt.Grid),
-		memo: make(map[string]*Result),
+		grid: grid.New(gopt),
 	}
 }
 
-// Evaluate validates the spec and computes its measures, serving
-// repeats of the same canonical key from the memo. The returned Result
-// is the caller's to keep; recycle it with PutResult when done.
-func (s *Spec) evaluateOn(e *Engine) (*Result, error) {
+// Evaluate validates the spec, runs its discipline's adapter and
+// applies the spec's measure filter. The returned Result is the
+// caller's to keep.
+func (e *Engine) Evaluate(s *Spec) (*Result, error) {
 	if err := s.Validate(e.lim); err != nil {
 		return nil, err
 	}
-	d := disciplines[s.Discipline]
-	key := s.Key()
-	if !e.opt.NoMemo {
-		e.mu.Lock()
-		if full, ok := e.memo[key]; ok {
-			e.stats.MemoHits++
-			e.mu.Unlock()
-			return e.filter(full, s)
-		}
-		e.mu.Unlock()
-	}
-	ms, err := d.eval(e, s)
+	ms, err := disciplines[s.Discipline].eval(e, s)
 	if err != nil {
 		return nil, &EvalError{Discipline: s.Discipline, Err: err}
 	}
-	full := &Result{Discipline: s.Discipline, Measures: ms}
-	e.mu.Lock()
-	e.stats.Evaluations++
-	if !e.opt.NoMemo {
-		if len(e.memo) >= maxMemoEntries {
-			e.memo = make(map[string]*Result)
-		}
-		e.memo[key] = full
-	}
-	e.mu.Unlock()
-	return e.filter(full, s)
-}
-
-// Evaluate is the method form of the common entry point.
-func (e *Engine) Evaluate(s *Spec) (*Result, error) { return s.evaluateOn(e) }
-
-// EvaluateBatch evaluates many specs concurrently, deduplicating equal
-// canonical keys so each unique scenario runs once. Results and errors
-// are positional: exactly one of results[i], errs[i] is non-nil.
-func (e *Engine) EvaluateBatch(specs []*Spec) (results []*Result, errs []error) {
-	results = make([]*Result, len(specs))
-	errs = make([]error, len(specs))
-	// Claim one evaluation slot per distinct key; duplicates wait for
-	// the winner and share its memoized outcome (or re-evaluate under
-	// NoMemo — correct, just not deduplicated).
-	leader := make(map[string]int, len(specs))
-	order := make([]int, 0, len(specs))
-	followers := make(map[int][]int)
-	for i, s := range specs {
-		if s == nil {
-			errs[i] = fmt.Errorf("scenario: nil spec")
-			continue
-		}
-		if err := s.Validate(e.lim); err != nil {
-			errs[i] = err
-			continue
-		}
-		key := s.Key()
-		if j, ok := leader[key]; ok {
-			followers[j] = append(followers[j], i)
-			continue
-		}
-		leader[key] = i
-		order = append(order, i)
-	}
-	// Each leader evaluates in parallel; the per-item error lands in
-	// errs, so the joined return of ForEach is redundant here.
-	_ = parallel.ForEach(e.opt.Workers, order, func(_ int, i int) error {
-		results[i], errs[i] = e.Evaluate(specs[i])
-		return nil
-	})
-	for j, dup := range followers {
-		for _, i := range dup {
-			if errs[j] != nil {
-				errs[i] = errs[j]
-				continue
-			}
-			// Followers may filter differently, so re-derive from the
-			// leader's full measure set via the memo-backed Evaluate
-			// (a hit unless NoMemo).
-			results[i], errs[i] = e.Evaluate(specs[i])
-		}
-	}
-	return results, errs
+	return filter(&Result{Discipline: s.Discipline, Measures: ms}, s)
 }
 
 // Stats returns a snapshot of the engine's accounting.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	st := e.stats
-	e.mu.Unlock()
-	st.Grid = e.grid.Stats()
-	return st
-}
+func (e *Engine) Stats() Stats { return Stats{Grid: e.grid.Stats()} }
 
-// PutResult recycles a Result obtained from Evaluate: its measure
-// slice returns to the engine's pool for the next evaluation's clone.
-// The caller must not touch r afterwards.
-//
-//lint:pooled
-func (e *Engine) PutResult(r *Result) {
-	if r == nil || cap(r.Measures) == 0 {
-		return
-	}
-	ms := r.Measures[:0]
-	r.Measures = nil
-	e.mu.Lock()
-	if len(e.free) < maxFreeSlices {
-		e.free = append(e.free, ms)
-	}
-	e.mu.Unlock()
-}
-
-// getMeasures pops a pooled slice with capacity >= n, or allocates.
-func (e *Engine) getMeasures(n int) []Measure {
-	e.mu.Lock()
-	for i := len(e.free) - 1; i >= 0; i-- {
-		if cap(e.free[i]) >= n {
-			ms := e.free[i]
-			e.free[i] = e.free[len(e.free)-1]
-			e.free = e.free[:len(e.free)-1]
-			e.mu.Unlock()
-			return ms[:0]
-		}
-	}
-	e.mu.Unlock()
-	return make([]Measure, 0, n)
-}
-
-// filter clones the memoized full result through the spec's Measures
-// selection (identity when empty). The clone draws on the recycled
-// pool; unknown measure names are an InvalidError, reported only now
-// because the discipline's measure set is evaluation-dependent.
-func (e *Engine) filter(full *Result, s *Spec) (*Result, error) {
-	out := &Result{Discipline: full.Discipline}
+// filter applies the spec's Measures selection to a full result
+// (identity when empty). Unknown measure names are an InvalidError,
+// reported only now because the discipline's measure set is
+// evaluation-dependent.
+func filter(full *Result, s *Spec) (*Result, error) {
 	if len(s.Measures) == 0 {
-		out.Measures = append(e.getMeasures(len(full.Measures)), full.Measures...)
-		return out, nil
+		return full, nil
 	}
-	ms := e.getMeasures(len(s.Measures))
+	out := &Result{Discipline: full.Discipline, Measures: make([]Measure, 0, len(s.Measures))}
 	var fe fieldErrs
 	for i, name := range s.Measures {
 		m, ok := full.Measure(name)
@@ -230,20 +95,16 @@ func (e *Engine) filter(full *Result, s *Spec) (*Result, error) {
 			fe.addf(fmt.Sprintf("measures[%d]", i), "discipline %q has no measure %q", s.Discipline, name)
 			continue
 		}
-		ms = append(ms, m)
+		out.Measures = append(out.Measures, m)
 	}
 	if err := fe.err(); err != nil {
-		out.Measures = ms
-		e.PutResult(out)
 		return nil, err
 	}
-	out.Measures = ms
 	return out, nil
 }
 
 // solve routes one product-form switch through the embedded grid
-// engine; solveBatch routes several in one call so they share fill
-// groups.
+// engine.
 func (e *Engine) solve(sw core.Switch) (*core.Result, error) {
 	res, err := e.grid.Solve([]core.Switch{sw})
 	if err != nil {

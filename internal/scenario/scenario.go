@@ -12,10 +12,9 @@
 // simulation block in one JSON-able document; Evaluate routes it
 // through a thin adapter onto the legacy package, whose results the
 // package's property tests pin bit-identical. The payoff is that every
-// scenario becomes batchable (Engine dedups and memoizes by canonical
-// key, product-form solves join grid.Engine fill groups), cacheable
-// (the canonical Key is an exact cache identity) and servable
-// (POST /v1/scenario on xbard) for free — and the spec space itself is
+// scenario becomes cacheable (the canonical Key is an exact cache
+// identity; product-form solves route through a grid.Engine) and
+// servable (POST /v1/scenario on xbard) for free — and the spec space itself is
 // fuzzable (FuzzSpec), giving the scenario-diversity generator the
 // ROADMAP calls for.
 //
@@ -240,7 +239,7 @@ func hexFloat(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
 // can read enters the key — simulation measures depend on the seed and
 // the full parameter set, so nothing is canonicalized away except
 // class names (which never enter the numerics) and the Measures
-// filter (the engine memoizes the full measure set and filters per
+// filter (a result cache stores the full measure set and filters per
 // call). Strict validation guarantees fields a discipline ignores are
 // zero, so they cannot fragment the key space.
 func (s *Spec) Key() string {

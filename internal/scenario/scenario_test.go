@@ -170,30 +170,8 @@ func TestKeyRoundTripAndSensitivity(t *testing.T) {
 	}
 }
 
-func TestEngineMemoAndFilter(t *testing.T) {
+func TestEngineFilter(t *testing.T) {
 	e := scenario.New(scenario.Options{})
-	s := validSlotted()
-	r1, err := e.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Measures) != len(r2.Measures) {
-		t.Fatalf("memo changed measure count")
-	}
-	for i := range r1.Measures {
-		if r1.Measures[i] != r2.Measures[i] {
-			t.Errorf("memoized measure %d differs: %+v vs %+v", i, r1.Measures[i], r2.Measures[i])
-		}
-	}
-	st := e.Stats()
-	if st.Evaluations != 1 || st.MemoHits != 1 {
-		t.Errorf("stats %+v, want 1 evaluation + 1 memo hit", st)
-	}
-
 	// The filter selects and orders; unknown names are indexed errors.
 	sf := validSlotted()
 	sf.Measures = []string{"acceptance", "throughput"}
@@ -212,53 +190,30 @@ func TestEngineMemoAndFilter(t *testing.T) {
 	} else if inv.Fields[0].Field != "measures[1]" {
 		t.Errorf("unknown measure located at %q", inv.Fields[0].Field)
 	}
-
-	// Recycled results feed later clones without corrupting the memo.
-	e.PutResult(r1)
-	e.PutResult(rf)
-	r3, err := e.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Measures[0] != r2.Measures[0] {
-		t.Errorf("recycled clone differs: %+v vs %+v", r3.Measures[0], r2.Measures[0])
-	}
 }
 
-func TestEvaluateBatch(t *testing.T) {
-	e := scenario.New(scenario.Options{})
-	a := validSlotted()
-	dup := validSlotted()
-	filtered := validSlotted()
-	filtered.Measures = []string{"throughput"}
-	bad := validSlotted()
-	bad.Topology.N1 = 0
-	other := validSlotted()
-	other.Params.Load = 0.25
-
-	specs := []*scenario.Spec{a, dup, filtered, bad, nil, other}
-	results, errs := e.EvaluateBatch(specs)
-	for i := range specs {
-		switch i {
-		case 3, 4:
-			if errs[i] == nil || results[i] != nil {
-				t.Errorf("spec %d: want error, got result %+v err %v", i, results[i], errs[i])
-			}
-		default:
-			if errs[i] != nil || results[i] == nil {
-				t.Errorf("spec %d: %v", i, errs[i])
-			}
-		}
+// TestNoMemoKeepsNothing: a NoMemo engine carries no state across
+// calls, down to the embedded grid engine — evaluating the same
+// overflow spec twice pays its product-form fills (the BPP and the
+// Poisson secondary fit) twice, with no memo hit.
+func TestNoMemoKeepsNothing(t *testing.T) {
+	e := scenario.New(scenario.Options{NoMemo: true})
+	s := &scenario.Spec{Discipline: "overflow", Topology: scenario.Topology{N1: 6},
+		Params: scenario.Params{Lambda: 30, Mu: 1, SecondaryN: 4},
+		Sim:    scenario.Sim{Seed: 16, Warmup: 10, Horizon: 150}}
+	if _, err := e.Evaluate(s); err != nil {
+		t.Fatal(err)
 	}
-	if len(results[2].Measures) != 1 {
-		t.Errorf("filtered batch entry has %d measures", len(results[2].Measures))
+	once := e.Stats().Grid.Fills
+	if once != 2 {
+		t.Fatalf("one overflow evaluation ran %d grid fills, want 2", once)
 	}
-	if results[0].Measures[0] != results[1].Measures[0] {
-		t.Errorf("deduplicated specs disagree")
+	if _, err := e.Evaluate(s); err != nil {
+		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Evaluations != 2 {
-		t.Errorf("batch ran %d evaluations, want 2 (a+dup+filtered share one)", st.Evaluations)
+	if st.Grid.Fills != 2*once || st.Grid.MemoHits != 0 {
+		t.Errorf("stats %+v, want %d grid fills and no grid memo hits", st, 2*once)
 	}
 }
 

@@ -43,21 +43,10 @@ type GridRequest struct {
 	Weights   []float64   `json:"weights,omitempty"`
 }
 
-// GridResult is one point of the grid reply, in request point order.
-// Blocking and Concurrency are in request class order. (No throughput
-// here: points sharing a fill may differ in mu, and blocking,
-// concurrency and W are the mu-invariant measures.) Tier is present
-// when the request carried a dispatch policy — decided per point —
-// and ErrorBound accompanies asymptotic points.
-type GridResult struct {
-	N1          int       `json:"n1"`
-	N2          int       `json:"n2"`
-	Tier        string    `json:"tier,omitempty"`
-	Blocking    []float64 `json:"blocking"`
-	Concurrency []float64 `json:"concurrency"`
-	ErrorBound  []float64 `json:"error_bound,omitempty"`
-	W           *float64  `json:"w,omitempty"`
-}
+// GridResult is one point of the grid reply, in request point order:
+// the sweep row, since both endpoints read sub-switch measures off one
+// lattice entry.
+type GridResult = SweepResult
 
 // GridResponse is the POST /v1/grid reply. Models counts the distinct
 // lattice fills the batch reduced to; Cached counts how many of those
@@ -116,28 +105,6 @@ func pointError(i int, err error) error {
 	return err
 }
 
-// gridRow builds one grid response row. Like sweepRow, it copies the
-// measure slices out of the entry-owned memoized Result: the rows are
-// serialized after the entry has been unlocked and released, so views
-// into the memo would escape the entry's lifecycle.
-func gridRow(n1, n2 int, res *core.Result, weights []float64) GridResult {
-	gr := GridResult{
-		N1:          n1,
-		N2:          n2,
-		Tier:        res.Tier,
-		Blocking:    copyFloats(res.Blocking),
-		Concurrency: copyFloats(res.Concurrency),
-	}
-	if res.ErrorBound != nil {
-		gr.ErrorBound = copyFloats(res.ErrorBound)
-	}
-	if weights != nil {
-		wv := res.Revenue(weights)
-		gr.W = &wv
-	}
-	return gr
-}
-
 // gridGroup is one distinct canonical class set of a grid request: all
 // its points are read off one cache entry filled at the componentwise
 // maximum dimensions.
@@ -167,13 +134,8 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 		return badRequest("%d grid points exceed the server limit %d", len(req.Points), s.cfg.MaxGridPoints)
 	}
 	if req.Weights != nil {
-		if len(req.Weights) != len(req.Classes) {
-			return badRequest("%d weights for %d classes", len(req.Weights), len(req.Classes))
-		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
+		if err := checkWeights(req.Weights, len(req.Classes)); err != nil {
+			return err
 		}
 	}
 
@@ -209,7 +171,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 				return pointError(i, err)
 			}
 			if ok {
-				resp.Results[i] = gridRow(sw.N1, sw.N2, res, req.Weights)
+				resp.Results[i] = resultRow(sw.N1, sw.N2, res, req.Weights)
 				asymCount++
 				continue
 			}
@@ -246,28 +208,18 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	for _, ck := range order {
 		g := groups[ck]
 		groupSw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
-		h, cached, err := s.withEntry(r, alg, groupSw)
-		if err != nil {
+		if err := s.readEntry(r, alg, groupSw, func(e *solverEntry, cached bool) error {
+			if cached {
+				resp.Cached++
+			}
+			resp.Method = e.result().Method
+			for _, i := range g.members {
+				resp.Results[i] = exactRow(points[i].N1, points[i].N2, e.resultAt(points[i].N1, points[i].N2), req.Weights, opt)
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
-		e := h.v
-		if cached {
-			resp.Cached++
-		}
-		if err := e.lock(r.Context()); err != nil {
-			s.cache.release(h)
-			return overloaded(err)
-		}
-		resp.Method = e.result().Method
-		for _, i := range g.members {
-			row := gridRow(points[i].N1, points[i].N2, e.resultAt(points[i].N1, points[i].N2), req.Weights)
-			if opt != nil {
-				row.Tier = core.TierExact
-			}
-			resp.Results[i] = row
-		}
-		e.unlock()
-		s.cache.release(h)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	return nil

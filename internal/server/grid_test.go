@@ -203,18 +203,14 @@ func TestRowsCopyMeasures(t *testing.T) {
 		t.Fatal(err)
 	}
 	weights := []float64{1}
-	gr := gridRow(4, 4, res, weights)
-	sr := sweepRow(4, 4, res, weights)
-	wantB, wantC := gr.Blocking[0], gr.Concurrency[0]
+	row := resultRow(4, 4, res, weights)
+	wantB, wantC := row.Blocking[0], row.Concurrency[0]
 	res.Blocking[0] = -1
 	res.Concurrency[0] = -1
-	if gr.Blocking[0] != wantB || gr.Concurrency[0] != wantC {
-		t.Errorf("grid row aliases the Result's measure slices")
+	if row.Blocking[0] != wantB || row.Concurrency[0] != wantC {
+		t.Errorf("sweep/grid row aliases the Result's measure slices")
 	}
-	if sr.Blocking[0] != wantB || sr.Concurrency[0] != wantC {
-		t.Errorf("sweep row aliases the Result's measure slices")
-	}
-	if gr.W == nil || sr.W == nil {
-		t.Fatalf("weighted rows missing W")
+	if row.W == nil {
+		t.Fatalf("weighted row missing W")
 	}
 }

@@ -132,8 +132,8 @@ type ClassResult struct {
 // copyFloats clones one measure slice out of a solver Result. The
 // sweep layers memoize ResultAt reads, so a Result read off a cached
 // entry shares its slices with the entry's lattice memo; response
-// documents must carry copies, never views, or the data escapes the
-// entry's lock-and-release lifecycle (see gridRow).
+// documents are encoded after readEntry has unlocked and released the
+// entry, so they must carry copies, never views.
 func copyFloats(xs []float64) []float64 {
 	return append([]float64(nil), xs...)
 }
@@ -214,28 +214,24 @@ func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
 	if s.maybeForward(w, r, body, cacheKey(alg, sw)) {
 		return nil
 	}
-	h, cached, err := s.withEntry(r, alg, sw)
-	if err != nil {
+	var resp BlockingResponse
+	if err := s.readEntry(r, alg, sw, func(e *solverEntry, cached bool) error {
+		res := e.result()
+		resp = BlockingResponse{
+			N1: sw.N1, N2: sw.N2,
+			Method:      res.Method,
+			LogG:        res.LogG,
+			Utilization: res.Utilization(),
+			Cached:      cached,
+			Classes:     classResults(req.SwitchSpec, res),
+		}
+		return nil
+	}); err != nil {
 		return err
-	}
-	defer s.cache.release(h)
-	e := h.v
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	res := e.result()
-	resp := BlockingResponse{
-		N1: sw.N1, N2: sw.N2,
-		Method:      res.Method,
-		LogG:        res.LogG,
-		Utilization: res.Utilization(),
-		Cached:      cached,
-		Classes:     classResults(req.SwitchSpec, res),
 	}
 	if opt != nil {
 		resp.Tier = core.TierExact
 	}
-	e.unlock()
 	s.writeJSON(w, http.StatusOK, resp)
 	return nil
 }
@@ -295,13 +291,8 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if len(req.Weights) != len(sw.Classes) {
-		return badRequest("%d weights for %d classes", len(req.Weights), len(sw.Classes))
-	}
-	for i, wt := range req.Weights {
-		if !finite(wt) {
-			return badRequest("weight %d is not finite", i)
-		}
+	if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
+		return err
 	}
 	step := req.Step
 	if floats.Zero(step) {
@@ -325,37 +316,33 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
 	// reads and gradient re-solves run on the scaled lattice.
-	h, cached, err := s.withEntry(r, alg1, sw)
-	if err != nil {
+	var resp RevenueResponse
+	if err := s.readEntry(r, alg1, sw, func(e *solverEntry, cached bool) error {
+		an, err := revenue.NewWithSweep(e.sweep, req.Weights, s.cfg.fillOptions())
+		if err != nil {
+			return badRequest("%v", err)
+		}
+		resp = RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Cached: cached}
+		for i, c := range sw.Classes {
+			cr := ClassRevenue{
+				Name:          req.Classes[i].Name,
+				Weight:        req.Weights[i],
+				ShadowCost:    an.ShadowCost(i),
+				Profitable:    an.Profitable(i),
+				GradRhoClosed: an.GradientRhoClosed(i),
+			}
+			if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
+				g := an.GradientBetaMu(i, step)
+				cr.GradBetaMu = &g
+			}
+			resp.Classes = append(resp.Classes, cr)
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-	defer s.cache.release(h)
-	e := h.v
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	defer e.unlock()
-	an, err := revenue.NewWithSweep(e.sweep, req.Weights, s.cfg.fillOptions())
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	resp := RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Cached: cached}
 	if opt != nil {
 		resp.Tier = core.TierExact
-	}
-	for i, c := range sw.Classes {
-		cr := ClassRevenue{
-			Name:          req.Classes[i].Name,
-			Weight:        req.Weights[i],
-			ShadowCost:    an.ShadowCost(i),
-			Profitable:    an.Profitable(i),
-			GradRhoClosed: an.GradientRhoClosed(i),
-		}
-		if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
-			g := an.GradientBetaMu(i, step)
-			cr.GradBetaMu = &g
-		}
-		resp.Classes = append(resp.Classes, cr)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	return nil
@@ -417,13 +404,8 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 	}
 	switch req.Policy {
 	case "", "profitability":
-		if len(req.Weights) != len(sw.Classes) {
-			return badRequest("profitability policy wants %d weights, got %d", len(sw.Classes), len(req.Weights))
-		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
+		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
+			return err
 		}
 		if _, ok, err := s.tryAsymptotic(sw, opt); err != nil {
 			return err
@@ -445,26 +427,17 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 		if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
 			return nil
 		}
-		h, cached, err := s.withEntry(r, alg1, sw)
-		if err != nil {
+		resp := AdmissionResponse{Policy: "profitability", Class: req.Class, Weight: &req.Weights[req.Class]}
+		if err := s.readEntry(r, alg1, sw, func(e *solverEntry, cached bool) error {
+			an, err := revenue.NewWithSweep(e.sweep, req.Weights)
+			if err != nil {
+				return badRequest("%v", err)
+			}
+			shadow := an.ShadowCost(req.Class)
+			resp.Accept, resp.ShadowCost, resp.Cached = an.Profitable(req.Class), &shadow, cached
+			return nil
+		}); err != nil {
 			return err
-		}
-		defer s.cache.release(h)
-		e := h.v
-		if err := e.lock(r.Context()); err != nil {
-			return overloaded(err)
-		}
-		an, err := revenue.NewWithSweep(e.sweep, req.Weights)
-		if err != nil {
-			e.unlock()
-			return badRequest("%v", err)
-		}
-		shadow := an.ShadowCost(req.Class)
-		accept := an.Profitable(req.Class)
-		e.unlock()
-		resp := AdmissionResponse{
-			Accept: accept, Policy: "profitability", Class: req.Class,
-			Weight: &req.Weights[req.Class], ShadowCost: &shadow, Cached: cached,
 		}
 		if opt != nil {
 			resp.Tier = core.TierExact
@@ -482,19 +455,24 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 		if len(state) != len(sw.Classes) {
 			return badRequest("state wants %d per-class counts, got %d", len(sw.Classes), len(state))
 		}
+		// Bounding every count by what the switch can hold keeps the
+		// occupancy sum below MaxClasses * MaxDim, far from overflow.
 		for i, k := range state {
 			if k < 0 {
 				return badRequest("state[%d] = %d is negative", i, k)
 			}
+			if most := sw.MinN() / sw.Classes[i].A; k > most {
+				return badRequest("state[%d] = %d exceeds the %d class-%d connections the switch holds", i, k, most, i)
+			}
 		}
-		if occ := sw.OccupancyOf(state); occ > sw.MinN() {
+		occ := sw.OccupancyOf(state)
+		if occ > sw.MinN() {
 			return badRequest("state occupies %d of %d ports", occ, sw.MinN())
 		}
 		policy, err := admission.TrunkReservation(sw, req.Limits)
 		if err != nil {
 			return badRequest("%v", err)
 		}
-		occ := sw.OccupancyOf(state)
 		// The policy admits within the reservation limit; port
 		// contention still rejects when the switch itself is full.
 		accept := policy(state, req.Class) && occ+sw.Classes[req.Class].A <= sw.MinN()
@@ -526,11 +504,13 @@ type SweepRequest struct {
 	Weights   []float64    `json:"weights,omitempty"`
 }
 
-// SweepResult is one point of the sweep reply. Blocking and
-// Concurrency are in request class order. Tier is present when the
-// request carried a dispatch policy — the decision is per point, so
-// one sweep can mix exact small sizes with asymptotic large ones —
-// and ErrorBound accompanies asymptotic points.
+// SweepResult is one point of a sweep or grid reply. Blocking and
+// Concurrency are in request class order. (No throughput: grid points
+// sharing a fill may differ in mu, and blocking, concurrency and W are
+// the mu-invariant measures.) Tier is present when the request carried
+// a dispatch policy — the decision is per point, so one reply can mix
+// exact points with asymptotic ones — and ErrorBound accompanies
+// asymptotic points.
 type SweepResult struct {
 	N1          int       `json:"n1"`
 	N2          int       `json:"n2"`
@@ -587,23 +567,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	if req.Weights != nil {
-		if len(req.Weights) != len(sw.Classes) {
-			return badRequest("%d weights for %d classes", len(req.Weights), len(sw.Classes))
-		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
+		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
+			return err
 		}
 	}
 	// Dispatch is decided per point: points the expansion answers
 	// within tolerance never touch the lattice, and — as in the grid
 	// engine — they do not inflate the fill, which runs at the maximum
 	// dimensions of the exact-routed points only.
-	var asym []*core.Result
+	resp := SweepResponse{N1: sw.N1, N2: sw.N2, Results: make([]SweepResult, len(points))}
+	var asym []bool
 	entrySw := sw
 	if opt != nil {
-		asym = make([]*core.Result, len(points))
+		asym = make([]bool, len(points))
 		emax1, emax2 := 0, 0
 		for i, p := range points {
 			sub := core.Switch{N1: p.N1, N2: p.N2, Classes: sw.Classes}
@@ -612,17 +588,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 				return fmt.Errorf("sweep point %dx%d: %w", p.N1, p.N2, err)
 			}
 			if ok {
-				asym[i] = res
+				asym[i] = true
+				resp.Results[i] = resultRow(p.N1, p.N2, res, req.Weights)
 				continue
 			}
 			emax1, emax2 = max(emax1, p.N1), max(emax2, p.N2)
 		}
 		if emax1 == 0 {
 			// Every point went asymptotic: no lattice, no cache entry.
-			resp := SweepResponse{N1: sw.N1, N2: sw.N2, Method: "asymptotic", Results: make([]SweepResult, len(points))}
-			for i, p := range points {
-				resp.Results[i] = sweepRow(p.N1, p.N2, asym[i], req.Weights)
-			}
+			resp.Method = "asymptotic"
 			s.writeJSON(w, http.StatusOK, resp)
 			return nil
 		}
@@ -631,39 +605,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if s.maybeForward(w, r, body, cacheKey(alg, entrySw)) {
 		return nil
 	}
-	h, cached, err := s.withEntry(r, alg, entrySw)
-	if err != nil {
+	if err := s.readEntry(r, alg, entrySw, func(e *solverEntry, cached bool) error {
+		resp.Method, resp.Cached = e.result().Method, cached
+		for i, p := range points {
+			if asym == nil || !asym[i] {
+				resp.Results[i] = exactRow(p.N1, p.N2, e.resultAt(p.N1, p.N2), req.Weights, opt)
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
-	}
-	defer s.cache.release(h)
-	e := h.v
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	defer e.unlock()
-	resp := SweepResponse{N1: sw.N1, N2: sw.N2, Cached: cached, Results: make([]SweepResult, len(points))}
-	resp.Method = e.result().Method
-	for i, p := range points {
-		if asym != nil && asym[i] != nil {
-			resp.Results[i] = sweepRow(p.N1, p.N2, asym[i], req.Weights)
-			continue
-		}
-		row := sweepRow(p.N1, p.N2, e.resultAt(p.N1, p.N2), req.Weights)
-		if opt != nil {
-			row.Tier = core.TierExact
-		}
-		resp.Results[i] = row
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	return nil
 }
 
-// sweepRow builds one sweep response row. The measure slices are
-// copied out of the (entry-owned, memoized) Result so the row stays
-// valid after the entry is unlocked and released. (Asymptotic results
-// own their slices, but copying unconditionally keeps the escape rule
-// simple.)
-func sweepRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
+// checkWeights validates a request's revenue weights: one finite
+// weight per class.
+func checkWeights(weights []float64, classes int) error {
+	if len(weights) != classes {
+		return badRequest("%d weights for %d classes", len(weights), classes)
+	}
+	for i, wt := range weights {
+		if !finite(wt) {
+			return badRequest("weight %d is not finite", i)
+		}
+	}
+	return nil
+}
+
+// exactRow is resultRow for a point read off a lattice entry: under a
+// dispatch policy the row names the exact tier.
+func exactRow(n1, n2 int, res *core.Result, weights []float64, opt *core.DispatchOptions) SweepResult {
+	row := resultRow(n1, n2, res, weights)
+	if opt != nil {
+		row.Tier = core.TierExact
+	}
+	return row
+}
+
+// resultRow builds one sweep or grid response row. The measure slices
+// are copied out of the (entry-owned, memoized) Result so the row
+// stays valid after the entry is unlocked and released. (Asymptotic
+// results own their slices, but copying unconditionally keeps the
+// escape rule simple.)
+func resultRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 	sr := SweepResult{
 		N1:          n1,
 		N2:          n2,
@@ -681,12 +667,18 @@ func sweepRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 	return sr
 }
 
-// withEntry resolves the cache entry for the operating point, filling
-// its lattice on a miss. Only the fill takes a solve slot: the
-// semaphore bounds concurrent lattice fills (the CPU-heavy part),
-// while hits and requests sharing another's fill pass straight
-// through, and entry reads are serialized per entry by the entry lock.
-func (s *Server) withEntry(r *http.Request, alg string, sw core.Switch) (*handle[*solverEntry], bool, error) {
+// readEntry is the one way a handler reaches the solver cache. It
+// resolves the entry for the operating point, filling its lattice on
+// a miss, then runs read under the entry lock and finally unlocks and
+// releases the entry. The entry never escapes read: whatever the
+// response keeps is copied out of it (copyFloats), and encoding runs
+// after readEntry returns, with the lock dropped.
+//
+// Only the fill takes a solve slot: the semaphore bounds concurrent
+// lattice fills (the CPU-heavy part), while hits and requests sharing
+// another's fill pass straight through, and entry reads are
+// serialized per entry by the entry lock.
+func (s *Server) readEntry(r *http.Request, alg string, sw core.Switch, read func(e *solverEntry, cached bool) error) error {
 	h, cached, err := s.cache.get(r.Context(), cacheKey(alg, sw), func() (*solverEntry, error) {
 		release, err := s.acquire(r.Context())
 		if err != nil {
@@ -698,14 +690,20 @@ func (s *Server) withEntry(r *http.Request, alg string, sw core.Switch) (*handle
 	if err != nil {
 		var api *apiError
 		if errors.As(err, &api) || errors.Is(err, errFillPanicked) {
-			return nil, false, err // errFillPanicked renders as a 500
+			return err // errFillPanicked renders as a 500
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, false, overloaded(err)
+			return overloaded(err)
 		}
-		return nil, false, &apiError{code: http.StatusUnprocessableEntity, msg: err.Error()}
+		return &apiError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
-	return h, cached, nil
+	defer s.cache.release(h)
+	e := h.v
+	if err := e.lock(r.Context()); err != nil {
+		return overloaded(err)
+	}
+	defer e.unlock()
+	return read(e, cached)
 }
 
 // overloaded maps context expiry (semaphore or entry-lock wait) onto

@@ -71,9 +71,9 @@ func New(cfg Config) (*Server, error) {
 		metrics: m,
 		cache:   newCache(cfg.CacheSize, solvers.put, &m.cache),
 		solvers: solvers,
-		// The scenario engine runs memo-less: the server-side result
-		// cache (LRU + single-flight) is the memo, and caching twice
-		// would pin every evicted result forever.
+		// The scenario engine keeps nothing across calls (NoMemo
+		// reaches its grid engine too): scCache is the path's only
+		// memo, bounded by ScenarioCacheSize and counted in /metrics.
 		scenario: scenario.New(scenario.Options{
 			NoMemo: true,
 			Limits: cfg.scenarioLimits(),

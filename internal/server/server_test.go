@@ -420,10 +420,18 @@ func TestAdmissionEndpoint(t *testing.T) {
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("out-of-range class: status %d, want 400", code)
 	}
-	if code := postJSON(t, ts, "/v1/admission", AdmissionRequest{
-		SwitchSpec: spec, Class: 0, Policy: "reservation", Limits: []int{8, 4}, State: []int{9, 0},
-	}, nil); code != http.StatusBadRequest {
-		t.Errorf("infeasible state: status %d, want 400", code)
+	// Infeasible states are 400s, including counts whose occupancy
+	// k_r * a_r would overflow int and wrap to a small sum.
+	wide := SwitchSpec{N1: 8, N2: 8, Units: "route", Classes: []ClassSpec{{A: 2, Alpha: 0.0024, Mu: 1}}}
+	pair := SwitchSpec{N1: 8, N2: 8, Units: "route", Classes: []ClassSpec{{A: 1, Alpha: 0.0024, Mu: 1}, {A: 1, Alpha: 0.0024, Mu: 1}}}
+	for _, req := range []AdmissionRequest{
+		{SwitchSpec: spec, Class: 0, Policy: "reservation", Limits: []int{8, 4}, State: []int{9, 0}},
+		{SwitchSpec: wide, Class: 0, Policy: "reservation", Limits: []int{8}, State: []int{4611686018427387904}},
+		{SwitchSpec: pair, Class: 0, Policy: "reservation", Limits: []int{8, 8}, State: []int{9223372036854775807, 1}},
+	} {
+		if code := postJSON(t, ts, "/v1/admission", req, nil); code != http.StatusBadRequest {
+			t.Errorf("infeasible state %v: status %d, want 400", req.State, code)
+		}
 	}
 }
 
