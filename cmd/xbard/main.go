@@ -11,7 +11,7 @@
 //	      [-max-dim n] [-max-asym-dim n] \
 //	      [-max-body bytes] [-timeout d] [-drain d] [-max-concurrent n] \
 //	      [-max-grid-points n] \
-//	      [-node-id id -peers id=url,...] [-vnodes n] [-hot-replicas k] \
+//	      [-node-id id -peers id=url,...] [-vnodes n] \
 //	      [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // The daemon serves until SIGTERM or SIGINT, then drains in-flight
@@ -23,7 +23,9 @@
 // xbard processes into one logical cache: a consistent-hash ring
 // assigns every cache key an owner and requests are forwarded to it,
 // so the fleet fills each lattice once no matter which node a client
-// hits. Without -peers the daemon is the plain single-node server.
+// hits. A request whose owner is down is computed locally instead, so
+// each survivor fills a lost key once and then serves it from its own
+// cache. Without -peers the daemon is the plain single-node server.
 // See docs/CLUSTER.md.
 package main
 
@@ -66,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodeID        = fs.String("node-id", "", "this node's id in -peers (required with -peers)")
 		peers         = fs.String("peers", "", "cluster membership as id=url,id=url,... including this node (empty = single-node)")
 		vnodes        = fs.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default 64)")
-		hotReplicas   = fs.Int("hot-replicas", 0, "ring successors to replicate hot keys to (0 = default 1, -1 = off)")
 	)
 	prof := cli.NewProfiler(fs)
 	if err := fs.Parse(args); err != nil {
@@ -106,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NodeID:            *nodeID,
 		Peers:             peerMap,
 		VNodes:            *vnodes,
-		HotReplicas:       *hotReplicas,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, time.Now().Format("2006-01-02T15:04:05.000Z07:00")+" "+format+"\n", args...)
 		},

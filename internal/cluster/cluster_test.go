@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,13 +15,11 @@ import (
 
 // newTestCluster builds a two-member cluster "self"+"peer" whose peer
 // URL points at the given handler.
-func newTestCluster(t *testing.T, peerHandler http.Handler, cfg Config) (*Cluster, *httptest.Server) {
+func newTestCluster(t *testing.T, peerHandler http.Handler) (*Cluster, *httptest.Server) {
 	t.Helper()
 	ts := httptest.NewServer(peerHandler)
 	t.Cleanup(ts.Close)
-	cfg.NodeID = "self"
-	cfg.Peers = map[string]string{"self": "http://unused", "peer": ts.URL}
-	c, err := New(cfg)
+	c, err := New(Config{NodeID: "self", Peers: map[string]string{"self": "http://unused", "peer": ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func TestForwardCopiesResponse(t *testing.T) {
 		w.Header().Set(HeaderNode, "peer")
 		w.WriteHeader(http.StatusTeapot)
 		io.WriteString(w, `{"a":2}`) //lint:allow errcheck test response write
-	}), Config{})
+	}))
 	res, err := c.Forward(context.Background(), "peer", "/v1/blocking", []byte(`{"q":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -79,16 +76,16 @@ func TestForwardRetriesThenFails(t *testing.T) {
 	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusInternalServerError)
-	}), Config{ForwardAttempts: 3})
+	}))
 	_, err := c.Forward(context.Background(), "peer", "/v1/blocking", nil)
 	if err == nil {
 		t.Fatal("forward to a 500 peer succeeded")
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("peer saw %d attempts, want 3", got)
+	if got := calls.Load(); got != forwardAttempts {
+		t.Fatalf("peer saw %d attempts, want %d", got, forwardAttempts)
 	}
 	snap := c.Snapshot()
-	if snap.ForwardErrors != 1 || snap.Peers["peer"].Errors != 3 {
+	if snap.ForwardErrors != 1 || snap.Peers["peer"].Errors != forwardAttempts {
 		t.Fatalf("snapshot %+v", snap)
 	}
 	// A 5xx answer is an application-level failure, not a dead
@@ -155,67 +152,6 @@ func TestPeerBackoffExpiresAndProbes(t *testing.T) {
 	}
 }
 
-func TestTouchReplicatesHotKey(t *testing.T) {
-	var gotPath atomic.Value
-	var gotFrom atomic.Value
-	var replicas atomic.Int64
-	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(HeaderReplicate) != "" {
-			replicas.Add(1)
-			gotPath.Store(r.URL.Path)
-			gotFrom.Store(r.Header.Get(HeaderReplicate))
-		}
-		w.WriteHeader(http.StatusOK)
-	}), Config{HotThreshold: 2.5, HotHalfLife: time.Minute, ReplicateInterval: time.Minute})
-
-	// Find a key owned by self so the successor set is {peer}.
-	key := ""
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("model-%d", i)
-		if c.IsLocal(k) {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no self-owned key found")
-	}
-	for i := 0; i < 3; i++ {
-		c.Touch(key, "/v1/blocking", []byte(`{"n1":4}`))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for replicas.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if replicas.Load() != 1 {
-		t.Fatalf("replicas = %d, want 1", replicas.Load())
-	}
-	if gotPath.Load() != "/v1/blocking" || gotFrom.Load() != "self" {
-		t.Fatalf("replica path %v from %v", gotPath.Load(), gotFrom.Load())
-	}
-	c.DrainReplication(time.Second)
-	if snap := c.Snapshot(); snap.Replication.Sent != 1 || snap.Replication.HotTracked != 1 {
-		t.Fatalf("replication snapshot %+v", snap.Replication)
-	}
-	if hot := c.HotKeys(1); len(hot) != 1 || hot[0] != key {
-		t.Fatalf("hot keys %v, want [%s]", hot, key)
-	}
-}
-
-func TestTouchBelowThresholdDoesNotReplicate(t *testing.T) {
-	var replicas atomic.Int64
-	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		replicas.Add(1)
-	}), Config{HotThreshold: 100, HotHalfLife: time.Minute})
-	for i := 0; i < 10; i++ {
-		c.Touch("some-key", "/v1/blocking", nil)
-	}
-	c.DrainReplication(time.Second)
-	if replicas.Load() != 0 {
-		t.Fatalf("cold key replicated %d times", replicas.Load())
-	}
-}
-
 func TestFetchJSON(t *testing.T) {
 	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet || r.URL.Path != "/metrics" {
@@ -223,7 +159,7 @@ func TestFetchJSON(t *testing.T) {
 			return
 		}
 		io.WriteString(w, `{"ok":true}`) //lint:allow errcheck test response write
-	}), Config{})
+	}))
 	data, err := c.FetchJSON(context.Background(), "peer", "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +176,7 @@ func TestFetchJSON(t *testing.T) {
 }
 
 func TestForwardUnknownPeer(t *testing.T) {
-	c, _ := newTestCluster(t, http.NotFoundHandler(), Config{})
+	c, _ := newTestCluster(t, http.NotFoundHandler())
 	if _, err := c.Forward(context.Background(), "ghost", "/v1/blocking", nil); err == nil {
 		t.Fatal("forward to unknown peer succeeded")
 	}
@@ -248,29 +184,25 @@ func TestForwardUnknownPeer(t *testing.T) {
 
 func TestForwardCanceledContextStopsRetries(t *testing.T) {
 	var calls atomic.Int64
-	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-	}), Config{ForwardAttempts: 5})
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Cancel as soon as the first attempt has landed.
-		for calls.Load() == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
+	defer cancel()
+	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The client goes away while the first attempt is in flight.
+		calls.Add(1)
 		cancel()
-	}()
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
 	_, err := c.Forward(ctx, "peer", "/v1/blocking", nil)
 	if err == nil {
 		t.Fatal("forward succeeded under cancellation")
 	}
-	if calls.Load() >= 5 {
+	if calls.Load() >= forwardAttempts {
 		t.Fatalf("all %d attempts ran despite cancellation", calls.Load())
 	}
 }
 
 func TestDefaultsAndAccessors(t *testing.T) {
-	c, ts := newTestCluster(t, http.NotFoundHandler(), Config{})
+	c, ts := newTestCluster(t, http.NotFoundHandler())
 	if c.NodeID() != "self" {
 		t.Fatalf("node id %q", c.NodeID())
 	}
@@ -280,7 +212,7 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.PeerURL("peer") != ts.URL {
 		t.Fatalf("peer url %q, want %q", c.PeerURL("peer"), ts.URL)
 	}
-	if c.cfg.VNodes != 64 || c.cfg.HotReplicas != 1 || c.cfg.ForwardAttempts != 2 {
+	if c.cfg.VNodes != 64 {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
 	if c.Owner("k") != "self" && c.Owner("k") != "peer" {

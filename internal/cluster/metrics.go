@@ -41,10 +41,6 @@ type Metrics struct {
 	failovers       atomic.Int64 // forwards that fell back to local compute
 	forwardedServed atomic.Int64 // requests served here on a peer's behalf
 
-	replSent    atomic.Int64
-	replFailed  atomic.Int64
-	replDropped atomic.Int64
-
 	perPeer map[string]*peerMetrics // fixed at construction, no lock
 }
 
@@ -60,7 +56,7 @@ func newClusterMetrics(peerIDs []string) *Metrics {
 func (m *Metrics) RecordFailover() { m.failovers.Add(1) }
 
 // RecordForwardedServed counts one request served locally on behalf of
-// a peer (it arrived with the forwarded or replicate marker).
+// a peer (it arrived with the forwarded marker).
 func (m *Metrics) RecordForwardedServed() { m.forwardedServed.Add(1) }
 
 // ForwardLatencyHistogram is one peer's forward-latency distribution,
@@ -87,15 +83,6 @@ type PeerSnapshot struct {
 	Latency     ForwardLatencyHistogram `json:"latency"`
 }
 
-// ReplicationSnapshot is the hot-key replication state at snapshot
-// time.
-type ReplicationSnapshot struct {
-	HotTracked int   `json:"hot_tracked"`
-	Sent       int64 `json:"sent"`
-	Failed     int64 `json:"failed"`
-	Dropped    int64 `json:"dropped"`
-}
-
 // Snapshot is the cluster section of the GET /metrics document.
 type Snapshot struct {
 	NodeID          string                  `json:"node_id"`
@@ -104,6 +91,10 @@ type Snapshot struct {
 	ForwardErrors   int64                   `json:"forward_errors"`
 	Failovers       int64                   `json:"failovers"`
 	ForwardedServed int64                   `json:"forwarded_served"`
-	Replication     ReplicationSnapshot     `json:"replication"`
 	Peers           map[string]PeerSnapshot `json:"peers"`
+
+	// Replication is never set and never encoded. Its only reader is
+	// cmd/xbarload's cluster.replication_sent metric; delete it the
+	// next time that benchmark is changed.
+	Replication struct{ Sent int64 } `json:"-"`
 }

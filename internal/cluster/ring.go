@@ -18,7 +18,6 @@ type ringPoint struct {
 // Membership is fixed at construction — the cluster layer is static —
 // so lookups are lock-free binary searches.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by (hash, node)
 	nodes  []string    // member ids, sorted
 }
@@ -39,7 +38,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	}
 	sort.Strings(uniq)
 	r := &Ring{
-		vnodes: vnodes,
 		nodes:  uniq,
 		points: make([]ringPoint, 0, len(uniq)*vnodes),
 	}
@@ -80,9 +78,6 @@ func hash64(key string) uint64 {
 // Nodes returns the member ids, sorted.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// VNodes returns the configured virtual nodes per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // search returns the index of the first ring point at or clockwise of
 // the key's hash (wrapping past the top of the circle).
 func (r *Ring) search(key string) int {
@@ -100,24 +95,4 @@ func (r *Ring) Owner(key string) string {
 		return ""
 	}
 	return r.points[r.search(key)].node
-}
-
-// Successors returns up to n distinct members clockwise of key's
-// owner, excluding the owner itself — the replica set for key.
-func (r *Ring) Successors(key string, n int) []string {
-	if len(r.points) == 0 || n < 1 {
-		return nil
-	}
-	start := r.search(key)
-	owner := r.points[start].node
-	seen := map[string]bool{owner: true}
-	var succ []string
-	for i := 1; i < len(r.points) && len(succ) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			succ = append(succ, p.node)
-		}
-	}
-	return succ
 }

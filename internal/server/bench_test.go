@@ -14,7 +14,7 @@ func BenchmarkForwardedVsLocalHit(b *testing.B) {
 		// the bench-short gate would misread as a regression.
 		b.Skip("request-level benchmark is warmup-dominated at one iteration")
 	}
-	f := newTestFleet(b, 2, nil)
+	f := newTestFleet(b, 2)
 	spec := paperSpec(16)
 	owner := f.ownerOf(b, spec)
 	other := f.nonOwner(b, owner)
@@ -50,10 +50,7 @@ func BenchmarkClusterAggregateHitRate(b *testing.B) {
 		// boot; there is no hit rate to measure.
 		b.Skip("hit-rate benchmark is meaningless at one iteration")
 	}
-	// Replication off: at bench iteration counts every key crosses the
-	// hot threshold and each successor's warming fill would count as a
-	// second legitimate miss, clouding the one-fill-per-key assertion.
-	f := newTestFleet(b, 3, func(id string, cfg *Config) { cfg.HotReplicas = -1 })
+	f := newTestFleet(b, 3)
 	specs := make([]SwitchSpec, 8)
 	for i := range specs {
 		specs[i] = paperSpec(4 + 2*i)

@@ -13,8 +13,8 @@ import (
 )
 
 // readBody reads one request body whole under the server's size cap.
-// The forwarding layer needs the raw bytes (to proxy or replicate the
-// request verbatim), so clustered handlers read first and decode from
+// The forwarding layer needs the raw bytes (to proxy the request
+// verbatim), so clustered handlers read first and decode from
 // the buffer; the size- and strictness-contract is identical to the
 // streaming decode path.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
@@ -53,12 +53,12 @@ func decodeBytes(data []byte, v any) error {
 // false and the caller computes locally:
 //
 //   - single-node mode (no cluster) — the layer is disabled;
-//   - this node owns the keys — it also feeds the hot tracker;
+//   - this node owns the keys;
 //   - mixed ownership across keys (multi-group /v1/grid) — local
 //     compute is correct, it just deduplicates less;
-//   - the request carries the forwarded or replicate marker — the loop
-//     guard: proxied requests are served where they land, so a skewed
-//     ring view costs one extra hop, never a cycle;
+//   - the request carries the forwarded marker — the loop guard:
+//     proxied requests are served where they land, so a skewed ring
+//     view costs one extra hop, never a cycle;
 //   - the owner is down or erroring — counted as a failover, served
 //     locally: a dead peer degrades to single-node behavior, never to
 //     a client-facing error.
@@ -67,15 +67,9 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byt
 	if c == nil || len(keys) == 0 {
 		return false
 	}
-	if r.Header.Get(cluster.HeaderReplicate) != "" {
-		// Cache-warming traffic: fill locally, response discarded by the
-		// sender. It must not feed the hot tracker — replication feeding
-		// back into replication would self-oscillate.
-		return false
-	}
-	forwarded := r.Header.Get(cluster.HeaderForwarded) != ""
-	if forwarded {
+	if r.Header.Get(cluster.HeaderForwarded) != "" {
 		c.Metrics().RecordForwardedServed()
+		return false
 	}
 	owner := c.Owner(keys[0])
 	for _, k := range keys[1:] {
@@ -84,12 +78,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byt
 			break
 		}
 	}
-	if forwarded || owner == c.NodeID() {
-		for _, k := range keys {
-			if c.IsLocal(k) {
-				c.Touch(k, r.URL.Path, body)
-			}
-		}
+	if owner == c.NodeID() {
 		return false
 	}
 	res, err := c.Forward(r.Context(), owner, r.URL.Path, body)
@@ -144,19 +133,16 @@ type ClusterNodeStatus struct {
 // matter which node the client hits). Hits include shared in-flight
 // waits — both avoided a fill.
 type ClusterFleet struct {
-	Nodes              int     `json:"nodes"`
-	Reachable          int     `json:"reachable"`
-	CacheHits          int64   `json:"cache_hits"`
-	CacheMisses        int64   `json:"cache_misses"`
-	CacheHitRate       float64 `json:"cache_hit_rate"`
-	ScenarioCacheHits  int64   `json:"scenario_cache_hits"`
-	ScenarioCacheMiss  int64   `json:"scenario_cache_misses"`
-	Forwards           int64   `json:"forwards"`
-	ForwardErrors      int64   `json:"forward_errors"`
-	Failovers          int64   `json:"failovers"`
-	ReplicationSent    int64   `json:"replication_sent"`
-	ReplicationFailed  int64   `json:"replication_failed"`
-	ReplicationDropped int64   `json:"replication_dropped"`
+	Nodes             int     `json:"nodes"`
+	Reachable         int     `json:"reachable"`
+	CacheHits         int64   `json:"cache_hits"`
+	CacheMisses       int64   `json:"cache_misses"`
+	CacheHitRate      float64 `json:"cache_hit_rate"`
+	ScenarioCacheHits int64   `json:"scenario_cache_hits"`
+	ScenarioCacheMiss int64   `json:"scenario_cache_misses"`
+	Forwards          int64   `json:"forwards"`
+	ForwardErrors     int64   `json:"forward_errors"`
+	Failovers         int64   `json:"failovers"`
 }
 
 // ClusterStatusResponse is the GET /v1/cluster reply: one row per
@@ -222,9 +208,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
 			fleet.Forwards += cs.Forwards
 			fleet.ForwardErrors += cs.ForwardErrors
 			fleet.Failovers += cs.Failovers
-			fleet.ReplicationSent += cs.Replication.Sent
-			fleet.ReplicationFailed += cs.Replication.Failed
-			fleet.ReplicationDropped += cs.Replication.Dropped
 		}
 	}
 	if lookups := fleet.CacheHits + fleet.CacheMisses; lookups > 0 {

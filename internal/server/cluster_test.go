@@ -26,9 +26,8 @@ type testFleet struct {
 }
 
 // newTestFleet starts n clustered nodes ("n0".."n<n-1>"), each serving
-// on a loopback port, and tears them down with the test. mutate (may
-// be nil) adjusts each node's config before construction.
-func newTestFleet(t testing.TB, n int, mutate func(id string, cfg *Config)) *testFleet {
+// on a loopback port, and tears them down with the test.
+func newTestFleet(t testing.TB, n int) *testFleet {
 	t.Helper()
 	f := &testFleet{srvs: make(map[string]*Server, n), urls: make(map[string]string, n)}
 	lns := make([]net.Listener, n)
@@ -44,11 +43,7 @@ func newTestFleet(t testing.TB, n int, mutate func(id string, cfg *Config)) *tes
 		peers[id] = "http://" + ln.Addr().String()
 	}
 	for i, id := range f.ids {
-		cfg := Config{NodeID: id, Peers: peers, Workers: 1}
-		if mutate != nil {
-			mutate(id, &cfg)
-		}
-		s, err := New(cfg)
+		s, err := New(Config{NodeID: id, Peers: peers, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +146,7 @@ func (f *testFleet) nonOwner(t testing.TB, owner string) string {
 // responses, all served by the key's owner, and the fleet fills the
 // lattice exactly once.
 func TestClusterForwardingBitIdentical(t *testing.T) {
-	f := newTestFleet(t, 3, nil)
+	f := newTestFleet(t, 3)
 	spec := paperSpec(16)
 	req := BlockingRequest{SwitchSpec: spec}
 	owner := f.ownerOf(t, spec)
@@ -192,7 +187,7 @@ func TestClusterForwardingBitIdentical(t *testing.T) {
 // carrying the forwarded marker is served where it lands, even by a
 // node that does not own its key.
 func TestClusterForwardLoopGuard(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
+	f := newTestFleet(t, 2)
 	spec := paperSpec(12)
 	owner := f.ownerOf(t, spec)
 	other := f.nonOwner(t, owner)
@@ -307,9 +302,10 @@ func TestClusterDeadPeerAtStartup(t *testing.T) {
 }
 
 // TestClusterPeerDiesMidRun: the owner node is killed after serving a
-// key; the survivor then fails over to local compute for that key.
+// key; the survivor then fails over to local compute for that key,
+// fills it once and answers every later request from its own cache.
 func TestClusterPeerDiesMidRun(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
+	f := newTestFleet(t, 2)
 	spec := paperSpec(10)
 	owner := f.ownerOf(t, spec)
 	other := f.nonOwner(t, owner)
@@ -329,6 +325,23 @@ func TestClusterPeerDiesMidRun(t *testing.T) {
 	if fo := f.srvs[other].cluster.Snapshot().Failovers; fo != 1 {
 		t.Errorf("failovers = %d, want 1", fo)
 	}
+	status, data, _ = f.post(t, other, "/v1/blocking", req, nil)
+	if status != http.StatusOK {
+		t.Fatalf("second post-kill status %d: %s", status, data)
+	}
+	var resp BlockingResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached {
+		t.Error("second post-kill request not answered from the survivor's cache")
+	}
+	if misses := f.srvs[other].metrics.cache.misses.Load(); misses != 1 {
+		t.Errorf("survivor misses = %d, want 1 (one fill of the lost key)", misses)
+	}
+	if fo := f.srvs[other].cluster.Snapshot().Failovers; fo != 2 {
+		t.Errorf("failovers = %d, want 2", fo)
+	}
 }
 
 // TestClusterSingleFlightAcrossNodes races concurrent identical
@@ -336,7 +349,7 @@ func TestClusterPeerDiesMidRun(t *testing.T) {
 // collapse onto one fill on the owner (fleet-wide misses == 1) and
 // every response must carry the same measures.
 func TestClusterSingleFlightAcrossNodes(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
+	f := newTestFleet(t, 2)
 	spec := paperSpec(24)
 	req := BlockingRequest{SwitchSpec: spec}
 	const perNode = 4
@@ -379,52 +392,10 @@ func TestClusterSingleFlightAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestClusterHotKeyReplication drives one key past the hot threshold
-// on its owner and waits for the successor's cache to be warmed by the
-// background replication (one miss appears there without any client
-// traffic).
-func TestClusterHotKeyReplication(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
-	spec := paperSpec(8)
-	owner := f.ownerOf(t, spec)
-	other := f.nonOwner(t, owner)
-	req := BlockingRequest{SwitchSpec: spec}
-	// Default HotThreshold is 8: ten rapid hits on the owner cross it.
-	for i := 0; i < 10; i++ {
-		if status, data, _ := f.post(t, owner, "/v1/blocking", req, nil); status != http.StatusOK {
-			t.Fatalf("hit %d: status %d: %s", i, status, data)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.srvs[other].metrics.cache.misses.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if misses := f.srvs[other].metrics.cache.misses.Load(); misses != 1 {
-		t.Fatalf("successor misses = %d, want 1 (replication fill)", misses)
-	}
-	// DrainReplication only empties the queue; the worker may still be
-	// mid-flight on the last job, so poll the sent counter.
-	f.srvs[owner].cluster.DrainReplication(time.Second)
-	for f.srvs[owner].cluster.Snapshot().Replication.Sent == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sent := f.srvs[owner].cluster.Snapshot().Replication.Sent; sent != 1 {
-		t.Errorf("replication sent = %d, want 1", sent)
-	}
-	// The successor now answers the key from its own cache: posting
-	// there with the forwarded marker (as a failover client would after
-	// the owner dies) is a hit, not a fill.
-	hitsBefore := f.srvs[other].metrics.cache.hits.Load()
-	f.post(t, other, "/v1/blocking", req, map[string]string{cluster.HeaderForwarded: owner})
-	if hits := f.srvs[other].metrics.cache.hits.Load(); hits != hitsBefore+1 {
-		t.Errorf("successor hits %d -> %d, want a warm hit", hitsBefore, hits)
-	}
-}
-
 // TestClusterRollup exercises GET /v1/cluster: every member row
 // present, fleet counters aggregated, unreachable members marked.
 func TestClusterRollup(t *testing.T) {
-	f := newTestFleet(t, 3, nil)
+	f := newTestFleet(t, 3)
 	spec := paperSpec(16)
 	for _, id := range f.ids {
 		f.post(t, id, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, nil)
@@ -551,7 +522,7 @@ func TestReadyz(t *testing.T) {
 // TestClusterMetricsSection checks the clustered /metrics document
 // carries the cluster family with per-peer rows.
 func TestClusterMetricsSection(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
+	f := newTestFleet(t, 2)
 	spec := paperSpec(16)
 	owner := f.ownerOf(t, spec)
 	other := f.nonOwner(t, owner)

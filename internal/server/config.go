@@ -92,10 +92,6 @@ type Config struct {
 	// VNodes is the virtual nodes per member on the consistent-hash
 	// ring. Default 64.
 	VNodes int
-	// HotReplicas is how many ring successors each owner replicates
-	// its hottest cache keys to (-1 disables replication). Default 1,
-	// capped at len(Peers)-1.
-	HotReplicas int
 	// Workers and Tile select the wavefront fill schedule passed to
 	// core.Parallel for every lattice fill. Workers = 0 divides
 	// GOMAXPROCS by MaxConcurrent so that MaxConcurrent concurrent
@@ -196,13 +192,7 @@ func (c Config) validate() error {
 // clusterConfig derives the cluster layer's configuration; callers
 // check len(Peers) > 0 first.
 func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		NodeID:      c.NodeID,
-		Peers:       c.Peers,
-		VNodes:      c.VNodes,
-		HotReplicas: c.HotReplicas,
-		Logf:        c.Logf,
-	}
+	return cluster.Config{NodeID: c.NodeID, Peers: c.Peers, VNodes: c.VNodes}
 }
 
 // fillOptions is the lattice-fill schedule every solve runs with.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 
 	"xbar/internal/core"
@@ -141,6 +142,24 @@ func TestDispatchSweep(t *testing.T) {
 	// 4096-port one at fixed per-route load (more competing routes).
 	if !(resp.Results[1].Blocking[0] > resp.Results[0].Blocking[0]) {
 		t.Errorf("blocking did not grow with size: %v vs %v", resp.Results[0].Blocking, resp.Results[1].Blocking)
+	}
+
+	// A point no tier can serve within the tolerance is a 422 that
+	// names the point.
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	code = postJSON(t, ts, "/v1/sweep", struct {
+		SwitchSpec
+		Dispatch  string       `json:"dispatch"`
+		Tolerance float64      `json:"tolerance"`
+		Points    []SweepPoint `json:"points"`
+	}{asymSpec(4096), "auto", 1e-12, []SweepPoint{{N1: 32, N2: 32}, {N1: 2000, N2: 2000}}}, &apiErr)
+	if code != http.StatusUnprocessableEntity {
+		t.Errorf("unmeetable tolerance: status %d, want 422 (%s)", code, apiErr.Error)
+	}
+	if !strings.HasPrefix(apiErr.Error, "sweep point 2000x2000: ") {
+		t.Errorf("422 message %q does not name the point", apiErr.Error)
 	}
 }
 

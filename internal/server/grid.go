@@ -95,12 +95,12 @@ func applyGridPoint(base SwitchSpec, p GridPoint) (SwitchSpec, error) {
 	return spec, nil
 }
 
-// pointError prefixes a client-facing error with the offending point's
-// index, preserving its status code.
-func pointError(i int, err error) error {
+// pointError prefixes a client-facing error with the offending point
+// ("point 3", "sweep point 64x64"), preserving its status code.
+func pointError(point string, err error) error {
 	var api *apiError
 	if errors.As(err, &api) {
-		return &apiError{code: api.code, msg: fmt.Sprintf("point %d: %s", i, api.msg)}
+		return &apiError{code: api.code, msg: point + ": " + api.msg}
 	}
 	return err
 }
@@ -158,17 +158,17 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	for i, p := range req.Points {
 		spec, err := applyGridPoint(req.SwitchSpec, p)
 		if err != nil {
-			return pointError(i, err)
+			return pointError(fmt.Sprintf("point %d", i), err)
 		}
 		sw, err := s.buildSwitchFor(spec, opt)
 		if err != nil {
-			return pointError(i, err)
+			return pointError(fmt.Sprintf("point %d", i), err)
 		}
 		points[i] = sw
 		if opt != nil {
 			res, ok, err := s.tryAsymptotic(sw, opt)
 			if err != nil {
-				return pointError(i, err)
+				return pointError(fmt.Sprintf("point %d", i), err)
 			}
 			if ok {
 				resp.Results[i] = resultRow(sw.N1, sw.N2, res, req.Weights)

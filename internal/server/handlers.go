@@ -551,15 +551,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	// The default point list is every sub-size 1..MinN; the cap is
+	// checked before it is allocated.
+	n := len(req.Points)
+	if n == 0 {
+		n = sw.MinN()
+	}
+	if n > s.cfg.MaxSweepPoints {
+		return badRequest("%d sweep points exceed the server limit %d", n, s.cfg.MaxSweepPoints)
+	}
 	points := req.Points
 	if len(points) == 0 {
-		points = make([]SweepPoint, sw.MinN())
+		points = make([]SweepPoint, n)
 		for i := range points {
 			points[i] = SweepPoint{N1: i + 1, N2: i + 1}
 		}
-	}
-	if len(points) > s.cfg.MaxSweepPoints {
-		return badRequest("%d sweep points exceed the server limit %d", len(points), s.cfg.MaxSweepPoints)
 	}
 	for _, p := range points {
 		if p.N1 < 1 || p.N2 < 1 || p.N1 > sw.N1 || p.N2 > sw.N2 {
@@ -585,7 +591,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			sub := core.Switch{N1: p.N1, N2: p.N2, Classes: sw.Classes}
 			res, ok, err := s.tryAsymptotic(sub, opt)
 			if err != nil {
-				return fmt.Errorf("sweep point %dx%d: %w", p.N1, p.N2, err)
+				return pointError(fmt.Sprintf("sweep point %dx%d", p.N1, p.N2), err)
 			}
 			if ok {
 				asym[i] = true

@@ -331,8 +331,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// Close releases background resources (the cluster replication
-// worker). Shutdown calls it; handler-only callers (tests serving
+// Close releases background resources (the cluster layer's idle peer
+// connections). Shutdown calls it; handler-only callers (tests serving
 // s.Handler() directly) should call it themselves when done. Safe to
 // call more than once and without a cluster.
 func (s *Server) Close() {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -524,10 +525,20 @@ func TestValidationErrors(t *testing.T) {
 		{"zero mu", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":0}]}`, http.StatusUnprocessableEntity},
 		{"pascal divergence", "/v1/blocking", `{"n1":4,"n2":4,"units":"route","classes":[{"a":1,"alpha":0.1,"beta":2,"mu":1}]}`, http.StatusUnprocessableEntity},
 		{"sweep points above cap", "/v1/sweep", `{"n1":8,"n2":8,"classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
+		{"default sweep points far above cap", "/v1/sweep", `{"n1":1000000,"n2":1000000,"units":"route","dispatch":"asymptotic","classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if got := post(tc.path, tc.body); got != tc.want {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := post(tc.path, tc.body)
+		runtime.ReadMemStats(&after)
+		if got != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+		// Rejecting a small body must not build anything sized by
+		// what the body asks for (a million default sweep points).
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: request allocated %d bytes, want < 1 MiB", tc.name, alloc)
 		}
 	}
 

@@ -9,7 +9,8 @@
 #      /v1/cluster rollup);
 #   2. killing the owner degrades to local compute on the survivors
 #      (HTTP 200, same blocking value, failovers counted) — never a
-#      client-facing error;
+#      client-facing error — and a survivor fills the lost key once,
+#      answering the next request for it from its own cache;
 #   3. the /v1/cluster rollup keeps answering with the dead member
 #      marked unreachable; the final rollup is written to
 #      $CLUSTER_ROLLUP (default cluster-rollup.json) for CI artifacts.
@@ -141,6 +142,22 @@ grep -q '"failovers":1' "$WORK/metrics-failover.json" || {
     exit 1
 }
 echo "cluster-smoke: failover to local compute ok (bit-identical blocking)"
+
+# The survivor filled the lost key once: the same request again is a
+# hit in its own cache, with no second fill.
+curl -fsS -X POST -d "$BODY" "$(url $SURVIVOR_IDX)/v1/blocking" >"$WORK/resp-refill.json"
+grep -q '"cached":true' "$WORK/resp-refill.json" || {
+    echo "cluster-smoke: second post-kill request not cached on the survivor:" >&2
+    cat "$WORK/resp-refill.json" >&2
+    exit 1
+}
+curl -fsS "$(url $SURVIVOR_IDX)/metrics" >"$WORK/metrics-refill.json"
+grep -q '"cache":{"hits":[0-9]*,"misses":1,' "$WORK/metrics-refill.json" || {
+    echo "cluster-smoke: survivor solver-cache misses != 1; metrics:" >&2
+    cat "$WORK/metrics-refill.json" >&2
+    exit 1
+}
+echo "cluster-smoke: survivor filled the lost key once and serves it cached"
 
 # The rollup survives the dead member and is kept as the CI artifact.
 curl -fsS "$(url $SURVIVOR_IDX)/v1/cluster" >"$ROLLUP"
