@@ -90,7 +90,9 @@ bench-short:
 # CPU-profiles the N=256 Algorithm 1 fill (the hot path every tuning
 # PR targets, docs/PERFORMANCE.md) and prints the top hot functions.
 profile:
-	$(GO) test -run XXX -bench 'BenchmarkParallelFill/alg1/N=256/w1' -benchtime 200x -cpuprofile cpu.prof -o xbar.test .
+	$(GO) test -run XXX -bench 'BenchmarkParallelFill/alg1/N=256$$' -benchtime 200x -cpuprofile cpu.prof -o xbar.test . > bench_profile.txt || { cat bench_profile.txt; exit 1; }
+	@cat bench_profile.txt
+	@grep -q '^Benchmark' bench_profile.txt || { echo "make profile: no benchmark matched" >&2; exit 1; }
 	$(GO) tool pprof -top -nodecount 10 xbar.test cpu.prof
 
 # Runs the xbard HTTP daemon with the pprof/metrics debug mux on
@@ -151,4 +153,4 @@ examples:
 	$(GO) run ./examples/sizing
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_short.json cpu.prof xbar.test conformance-report.json cluster-rollup.json
+	rm -f cover.out test_output.txt bench_output.txt bench_short.json bench_profile.txt cpu.prof xbar.test conformance-report.json cluster-rollup.json

@@ -381,7 +381,7 @@ func BenchmarkAsymptoticVsExact(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/N=%d/exact", mix.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := core.Solve(sw, core.Parallel(0, 0))
+					res, err := core.Solve(sw)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -429,42 +429,35 @@ func BenchmarkCrossCheckAllocs(b *testing.B) {
 }
 
 // BenchmarkParallelFill measures the lattice fill proper across system
-// sizes and worker counts — the scaling table of docs/PERFORMANCE.md
-// §5. The solver is built once and recycled with Reuse, so an
-// iteration is exactly one Q/W (or F/D) fill: no per-op lattice
-// allocation and no GC tax, unlike the fresh-solver numbers of
-// BenchmarkAlg1VsAlg2. Worker counts above the host's core count
-// measure scheduling overhead, not speedup.
+// sizes, on the schedule the solvers pick: Algorithm 1 fills as a
+// wavefront on GOMAXPROCS workers above N = 512 and sequentially
+// below, Algorithm 2 always sequentially (the table of
+// docs/PERFORMANCE.md §4). The solver is built once and recycled with
+// Reuse, so an iteration is exactly one Q/W (or F/D) fill: no per-op
+// lattice allocation and no GC tax, unlike the fresh-solver numbers of
+// BenchmarkAlg1VsAlg2.
 func BenchmarkParallelFill(b *testing.B) {
 	for _, n := range []int{64, 256, 512, 1024} {
 		sw := core.NewSwitch(n, n,
 			core.AggregateClass{Name: "p", A: 1, AlphaTilde: 0.0012, Mu: 1},
 			core.AggregateClass{Name: "b", A: 1, AlphaTilde: 0.0012, BetaTilde: 0.0012, Mu: 1},
 		)
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("alg1/N=%d/w%d", n, w), func(b *testing.B) {
-				s, err := core.NewSolver(sw, core.Parallel(w, 0))
-				if err != nil {
+		b.Run(fmt.Sprintf("alg1/N=%d", n), func(b *testing.B) {
+			s, err := core.NewSolver(sw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Reuse(sw); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := s.Reuse(sw); err != nil {
-						b.Fatal(err)
-					}
-				}
-				sinkRes = s.Result()
-			})
-		}
-	}
-	sw := core.NewSwitch(256, 256,
-		core.AggregateClass{Name: "p", A: 1, AlphaTilde: 0.0012, Mu: 1},
-		core.AggregateClass{Name: "b", A: 1, AlphaTilde: 0.0012, BetaTilde: 0.0012, Mu: 1},
-	)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("alg2/N=256/w%d", w), func(b *testing.B) {
-			s, err := core.NewMVASolver(sw, core.Parallel(w, 0))
+			}
+			sinkRes = s.Result()
+		})
+		b.Run(fmt.Sprintf("alg2/N=%d", n), func(b *testing.B) {
+			s, err := core.NewMVASolver(sw)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -513,7 +506,7 @@ func BenchmarkFillMixes(b *testing.B) {
 	for _, m := range mixes {
 		sw := core.NewSwitch(n, n, m.classes...)
 		b.Run("alg1/"+m.name, func(b *testing.B) {
-			s, err := core.NewSolver(sw, core.Options{Workers: 1})
+			s, err := core.NewSolver(sw)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -527,7 +520,7 @@ func BenchmarkFillMixes(b *testing.B) {
 			sinkRes = s.Result()
 		})
 		b.Run("alg2/"+m.name, func(b *testing.B) {
-			s, err := core.NewMVASolver(sw, core.Options{Workers: 1})
+			s, err := core.NewMVASolver(sw)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,12 +10,12 @@
 //	     -class video:2:0.001:0.0005:0.5 \
 //	     [-alg alg1|alg2|direct|conv] [-weights 1,0.0001] [-occupancy] \
 //	     [-dispatch exact|auto|asymptotic] [-tolerance e] \
-//	     [-workers n] [-tile t] [-cpuprofile f] [-memprofile f] [-trace f]
+//	     [-cpuprofile f] [-memprofile f] [-trace f]
 //
-// -workers and -tile select the wavefront-parallel lattice fill for
-// the alg1/alg2 evaluators (0 = automatic: sequential on small
-// switches, parallel above the cutoff). The profiling flags write
-// standard Go pprof/trace artifacts.
+// The alg1 evaluator fills switches above 512x512 as a wavefront on
+// GOMAXPROCS workers and smaller ones sequentially; alg2 always fills
+// sequentially. The profiling flags write standard Go pprof/trace
+// artifacts.
 //
 // -dispatch enables the large-N tier: auto answers from the
 // saddle-point expansion when the switch is past the dispatch cutoff
@@ -61,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	alg := fs.String("alg", "alg1", "evaluator: alg1 (scaled recursion), alg2 (mean value), direct (state sum), conv (convolution)")
 	weights := fs.String("weights", "", "comma-separated revenue weights, one per class; enables the revenue report")
 	occupancy := fs.Bool("occupancy", false, "print the occupancy distribution (conv evaluator)")
-	workers := fs.Int("workers", 0, "lattice-fill workers: 0 auto, 1 sequential, n parallel (alg1/alg2)")
-	tile := fs.Int("tile", 0, "wavefront tile edge in cells (0 = automatic)")
 	dispatch := fs.String("dispatch", "", "large-N tier policy: exact, auto or asymptotic (empty = plain -alg evaluator)")
 	scenarioPath := fs.String("scenario", "", `declarative scenario spec to evaluate (JSON file, "-" = stdin); replaces the model flags`)
 	tolerance := fs.Float64("tolerance", 0, "largest per-class relative error bound auto dispatch accepts (0 = default)")
@@ -100,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		classes = cli.ClassFlag{{Name: "default", A: 1, AlphaTilde: 0.0024, Mu: 1}}
 	}
 	sw := core.NewSwitch(*n1, *n2, classes...)
-	fill := core.Parallel(*workers, *tile)
 
 	var res *core.Result
 	switch {
@@ -110,14 +107,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		var pol core.Dispatch
 		if pol, err = core.ParseDispatch(*dispatch); err == nil {
-			res, err = core.SolveAuto(sw, core.DispatchOptions{Policy: pol, Tolerance: *tolerance, Fill: fill})
+			res, err = core.SolveAuto(sw, core.DispatchOptions{Policy: pol, Tolerance: *tolerance})
 		}
 	case *tolerance != 0: //lint:allow floatcmp flag default sentinel
 		return fail(fmt.Errorf("-tolerance requires -dispatch"))
 	case *alg == "alg1":
-		res, err = core.Solve(sw, fill)
+		res, err = core.Solve(sw)
 	case *alg == "alg2":
-		res, err = core.SolveMVA(sw, fill)
+		res, err = core.SolveMVA(sw)
 	case *alg == "direct":
 		res, err = core.SolveDirect(sw)
 	case *alg == "conv":
@@ -249,7 +246,7 @@ func revenueReport(stdout io.Writer, sw core.Switch, ws []float64, asym bool) er
 				return err
 			}
 			grad := "-"
-			if !c.IsPoisson() && sw.MinN() >= 2 {
+			if revenue.HasBetaMuGradient(c, sw) {
 				g, err := an.GradientBetaMu(i, 1e-4)
 				if err != nil {
 					return err
@@ -273,7 +270,7 @@ func revenueReport(stdout io.Writer, sw core.Switch, ws []float64, asym bool) er
 		w = an.W()
 		for i, c := range sw.Classes {
 			grad := "-"
-			if !c.IsPoisson() && sw.MinN() >= 2 {
+			if revenue.HasBetaMuGradient(c, sw) {
 				grad = report.FormatFloat(an.GradientBetaMu(i, 1e-4))
 			}
 			rows = append(rows, []string{

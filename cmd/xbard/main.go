@@ -7,7 +7,7 @@
 // Usage:
 //
 //	xbard [-addr :8480] [-debug-addr 127.0.0.1:8481] \
-//	      [-workers n] [-tile t] [-cache entries] [-scenario-cache entries] \
+//	      [-cache entries] [-scenario-cache entries] \
 //	      [-max-dim n] [-max-asym-dim n] \
 //	      [-max-body bytes] [-timeout d] [-drain d] [-max-concurrent n] \
 //	      [-max-grid-points n] \
@@ -54,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr          = fs.String("addr", ":8480", "API listen address")
 		debugAddr     = fs.String("debug-addr", "", "pprof/metrics listen address (empty = disabled; keep on loopback)")
-		workers       = fs.Int("workers", 0, "wavefront fill workers per solve (0 = GOMAXPROCS divided across -max-concurrent)")
-		tile          = fs.Int("tile", 0, "wavefront tile edge in cells (0 = automatic)")
 		cacheSize     = fs.Int("cache", 0, "retained operating points in the solver cache (0 = default 64)")
 		scCacheSize   = fs.Int("scenario-cache", 0, "retained /v1/scenario results (0 = default 64)")
 		maxDim        = fs.Int("max-dim", 0, "largest switch dimension the exact tier fills a lattice for (0 = default 1024)")
@@ -93,8 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	srv, err := server.New(server.Config{
 		Addr:              *addr,
 		DebugAddr:         *debugAddr,
-		Workers:           *workers,
-		Tile:              *tile,
 		CacheSize:         *cacheSize,
 		ScenarioCacheSize: *scCacheSize,
 		MaxDim:            *maxDim,

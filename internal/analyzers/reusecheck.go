@@ -18,7 +18,7 @@ import (
 // marks every reference-typed argument as released by the call, and
 //
 //	//lint:pooled recv
-//	func (s *SweepSolver) Reuse(sw Switch, opts ...FillOption) error
+//	func (s *SweepSolver) Reuse(sw Switch) error
 //
 // marks the receiver as recycled in place: values previously derived
 // from it (memoized Results, sub-lattice views) are invalidated, while

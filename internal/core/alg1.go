@@ -26,8 +26,7 @@ import (
 // Section 6 applied at every step, letting the recursion run far past
 // the N ~ 85 point where raw float64 underflows (Q(N) ~ 1/(N1! N2!)).
 type Solver struct {
-	sw  Switch
-	opt Options
+	sw Switch
 	// q holds Q on the (N1+1) x (N2+1) lattice, row-major by n1.
 	q []scale.Number
 	// poisson and bursty hold the per-class recursion constants,
@@ -75,12 +74,10 @@ type burstyTerm struct {
 	w      []scale.Acc
 }
 
-// NewSolver validates the switch and fills the Q lattice. An optional
-// Options argument selects the fill schedule (see Parallel); the
-// default is the auto heuristic.
-func NewSolver(sw Switch, opts ...Options) (*Solver, error) {
+// NewSolver validates the switch and fills the Q lattice.
+func NewSolver(sw Switch) (*Solver, error) {
 	s := &Solver{}
-	if err := s.Reuse(sw, opts...); err != nil {
+	if err := s.Reuse(sw); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -90,15 +87,10 @@ func NewSolver(sw Switch, opts ...Options) (*Solver, error) {
 // the Q and V buffers whenever their capacity allows. This is the
 // allocation-free path for repeated solves of same-size systems — the
 // reduced-load fixed point (internal/network) and the perturbed
-// re-solves of the revenue gradients run through it. An optional
-// Options argument replaces the solver's fill schedule; without one
-// the schedule set at construction is kept.
-func (s *Solver) Reuse(sw Switch, opts ...Options) error {
+// re-solves of the revenue gradients run through it.
+func (s *Solver) Reuse(sw Switch) error {
 	if err := sw.Validate(); err != nil {
 		return err
-	}
-	if len(opts) > 0 {
-		s.opt = opts[0]
 	}
 	s.sw = sw
 	size := (sw.N1 + 1) * (sw.N2 + 1)
@@ -157,10 +149,9 @@ func (s *Solver) prepare(size int) {
 	}
 }
 
-// Solve computes the performance measures for sw with Algorithm 1. An
-// optional Options argument selects the fill schedule.
-func Solve(sw Switch, opts ...Options) (*Result, error) {
-	s, err := NewSolver(sw, opts...)
+// Solve computes the performance measures for sw with Algorithm 1.
+func Solve(sw Switch) (*Result, error) {
+	s, err := NewSolver(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -175,23 +166,52 @@ func (s *Solver) at(n1, n2 int) scale.Number {
 	return s.q[n1*(s.sw.N2+1)+n2]
 }
 
+// parallelCutoff is the lattice cell count up to which fill runs
+// sequentially; larger lattices fill as a tiled wavefront on
+// GOMAXPROCS workers. It is the N = 512 lattice, the crossover
+// measured on a 2-core Xeon (docs/PERFORMANCE.md §4): on two workers
+// the wavefront cut the N = 1024 fill from 24.3 to 17.7 ms (medians,
+// 12 of 12 interleaved pairs won; 14 of 16 on a rerun), while at
+// N = 256 and N = 512 it won 8 and 7 of 12 pairs, inside the
+// quartile spread. With two N = 1024 fills running at once on those
+// two cores, the wavefront's throughput ties the sequential fill's
+// within the quartile spread (medians 2-6% slower, 10 of 28 pairs
+// won), so concurrent callers lose little to the oversubscribed pool.
+// Above N = 512, auto dispatch hands most models to the asymptotic
+// tier, so the wavefront mostly serves forced exact fills.
+const parallelCutoff = 513 * 513
+
 // fill runs the Eq. 10 recursion over the whole lattice: sequentially
-// in row-major order, or — when the resolved Options ask for it — as a
-// tiled wavefront on parallel.Wavefront. Every cell's dependencies
-// (the 1_i neighbor, the (a, a) diagonal predecessors, and the V
-// lattices' own (a, a) predecessors) live at strictly smaller n1 + n2,
-// so anti-diagonal tile order is a topological order and the parallel
-// fill computes bit-identical lattices for any worker count and tile
-// size. All per-cell state (the scale.Acc) is stack-local to fillBlock,
-// so no accumulator or Frexp state ever crosses goroutines.
+// in row-major order up to parallelCutoff cells, as a tiled wavefront
+// above it. Every cell's dependencies (the 1_i neighbor, the (a, a)
+// diagonal predecessors, and the W lattices' own (a, a) predecessors)
+// live at strictly smaller n1 + n2, so anti-diagonal tile order is a
+// topological order and the wavefront computes bit-identical lattices
+// for any worker count and tile size. All per-cell state (the
+// scale.Acc) is stack-local to fillBlock, so no accumulator or Frexp
+// state ever crosses goroutines.
 func (s *Solver) fill() {
 	rows, cols := s.sw.N1+1, s.sw.N2+1
-	w, tile := s.opt.plan(rows, cols)
+	w, tile := fillPlan(rows, cols)
 	if w <= 1 {
 		s.fillBlock(0, rows, 0, cols)
 		return
 	}
 	parallel.Wavefront(w, rows, cols, tile, s.fillBlock)
+}
+
+// fillPlan picks the schedule of a rows x cols Algorithm 1 fill: the
+// worker count (1 meaning sequential) and the wavefront tile edge. The
+// edge gives every worker about two tiles on the long anti-diagonals
+// while keeping tiles large enough to amortize the per-diagonal
+// barrier and stay cache-resident: a 64-cell edge is 64 KiB of Q
+// lattice (16-byte scale.Number cells) per tile row.
+func fillPlan(rows, cols int) (workers, tile int) {
+	w := parallel.Workers(0)
+	if rows*cols <= parallelCutoff || w <= 1 {
+		return 1, 0
+	}
+	return w, max(16, min(min(rows, cols)/(2*w), 256))
 }
 
 // fillBlock runs the recursion over the half-open cell block
@@ -208,8 +228,8 @@ func (s *Solver) fill() {
 // row splits into the guarded boundary band (n2 < maxA, some class
 // displacement may fall off the lattice) and the unguarded interior.
 // Whether a cell takes the guarded or the interior body depends only
-// on its coordinates, never on the schedule, so the split preserves
-// the parallel fill's bit-identity guarantee.
+// on its coordinates, never on the block, so the split preserves the
+// wavefront's bit-identity guarantee.
 func (s *Solver) fillBlock(n1lo, n1hi, n2lo, n2hi int) {
 	n2w := s.sw.N2 + 1
 	var acc [rowChunk]scale.Acc

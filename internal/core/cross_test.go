@@ -26,7 +26,7 @@ func TestOneByOnePoisson(t *testing.T) {
 	}{
 		{"direct", SolveDirect},
 		{"convolution", SolveConvolution},
-		{"algorithm1", noOpts(Solve)},
+		{"algorithm1", Solve},
 		{"unscaled", SolveUnscaled},
 	} {
 		res, err := solve.fn(sw)
@@ -64,7 +64,7 @@ func TestPaperTable2SmallN(t *testing.T) {
 	}{
 		{"direct", SolveDirect},
 		{"convolution", SolveConvolution},
-		{"algorithm1", noOpts(Solve)},
+		{"algorithm1", Solve},
 	} {
 		res1, err := solve.fn(build(1))
 		if err != nil {
@@ -235,7 +235,7 @@ func TestClassWiderThanSwitch(t *testing.T) {
 		{A: 1, Alpha: 0.3, Mu: 1},
 		{A: 3, Alpha: 0.1, Mu: 1},
 	}}
-	for _, fn := range []func(Switch) (*Result, error){SolveDirect, SolveConvolution, noOpts(Solve)} {
+	for _, fn := range []func(Switch) (*Result, error){SolveDirect, SolveConvolution, Solve} {
 		res, err := fn(sw)
 		if err != nil {
 			t.Fatal(err)

@@ -72,8 +72,8 @@ const DefaultDispatchCutoff = 512
 const DefaultTolerance = 1e-2
 
 // DispatchOptions configures SolveAuto and TryAsymptotic. The zero
-// value is the default auto policy: DefaultDispatchCutoff,
-// DefaultTolerance, auto fill schedule for the exact tier.
+// value is the default auto policy: DefaultDispatchCutoff and
+// DefaultTolerance.
 type DispatchOptions struct {
 	// Policy selects the tier (the zero value is DispatchAuto).
 	Policy Dispatch
@@ -85,10 +85,6 @@ type DispatchOptions struct {
 	// solves exactly without trying the expansion. <= 0 means
 	// DefaultDispatchCutoff.
 	Cutoff int
-	// Fill configures the exact tier's lattice fill schedule; it is
-	// passed to Solve unchanged, keeping SolveAuto bit-identical to
-	// Solve(sw, Fill) whenever the exact tier answers.
-	Fill Options
 }
 
 // tolerance resolves the effective tolerance.
@@ -175,13 +171,13 @@ func TryAsymptotic(sw Switch, opt DispatchOptions) (*Result, bool, error) {
 
 // SolveAuto evaluates the switch through the dispatch policy: the
 // asymptotic tier when TryAsymptotic accepts the model, otherwise
-// Solve(sw, opt.Fill) bit-identically, with Result.Tier recording
-// which tier answered.
+// Solve(sw) bit-identically, with Result.Tier recording which tier
+// answered.
 func SolveAuto(sw Switch, opt DispatchOptions) (*Result, error) {
 	if res, ok, err := TryAsymptotic(sw, opt); err != nil || ok {
 		return res, err
 	}
-	res, err := Solve(sw, opt.Fill)
+	res, err := Solve(sw)
 	if err != nil {
 		return nil, err
 	}

@@ -126,8 +126,9 @@ func TestDispatchToleranceFallback(t *testing.T) {
 }
 
 // TestSolveAutoExactBitIdentity pins that whenever the exact tier is
-// chosen — forced policy, sub-cutoff auto, or tolerance fallback —
-// SolveAuto returns the same bits core.Solve does.
+// chosen — forced policy, sub-cutoff auto, tolerance fallback, or a
+// forced exact fill large enough to run as a wavefront — SolveAuto
+// returns the same bits core.Solve does.
 func TestSolveAutoExactBitIdentity(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -138,14 +139,14 @@ func TestSolveAutoExactBitIdentity(t *testing.T) {
 		{"forced exact", 96, core.DispatchOptions{Policy: core.DispatchExact, Cutoff: 16}},
 		{"auto below cutoff", 32, core.DispatchOptions{}},
 		{"tolerance fallback", 96, core.DispatchOptions{Cutoff: 16, Tolerance: 1e-9}},
-		{"parallel fill", 160, core.DispatchOptions{Policy: core.DispatchExact, Fill: core.Parallel(4, 32)}},
+		{"parallel fill", 600, core.DispatchOptions{Policy: core.DispatchExact}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			sw := dispatchSwitch(tc.n)
-			want, err := core.Solve(sw, tc.opt.Fill)
+			want, err := core.Solve(sw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"xbar/internal/combin"
-	"xbar/internal/parallel"
 )
 
 // MVASolver runs the paper's Algorithm 2, the mean-value style
@@ -35,7 +34,6 @@ import (
 // Algorithm 1 — see TestMVAMatchesAlgorithm1.)
 type MVASolver struct {
 	sw     Switch
-	opt    Options
 	f1, f2 []float64
 	// d[j] is the D grid for the j-th bursty class.
 	d       [][]float64
@@ -61,11 +59,10 @@ type mvaTerm struct {
 	poisson bool
 }
 
-// NewMVASolver validates the switch and fills the ratio lattices. An
-// optional Options argument selects the fill schedule (see Parallel).
-func NewMVASolver(sw Switch, opts ...Options) (*MVASolver, error) {
+// NewMVASolver validates the switch and fills the ratio lattices.
+func NewMVASolver(sw Switch) (*MVASolver, error) {
 	s := &MVASolver{}
-	if err := s.Reuse(sw, opts...); err != nil {
+	if err := s.Reuse(sw); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -73,14 +70,10 @@ func NewMVASolver(sw Switch, opts ...Options) (*MVASolver, error) {
 
 // Reuse re-points the solver at sw and refills the ratio lattices,
 // recycling the F and D buffers whenever their capacity allows — the
-// allocation-free path for repeated solves of same-size systems. An
-// optional Options argument replaces the solver's fill schedule.
-func (s *MVASolver) Reuse(sw Switch, opts ...Options) error {
+// allocation-free path for repeated solves of same-size systems.
+func (s *MVASolver) Reuse(sw Switch) error {
 	if err := sw.Validate(); err != nil {
 		return err
-	}
-	if len(opts) > 0 {
-		s.opt = opts[0]
 	}
 	s.sw = sw
 	size := (sw.N1 + 1) * (sw.N2 + 1)
@@ -119,9 +112,8 @@ func (s *MVASolver) Reuse(sw Switch, opts ...Options) error {
 }
 
 // SolveMVA computes the performance measures for sw with Algorithm 2.
-// An optional Options argument selects the fill schedule.
-func SolveMVA(sw Switch, opts ...Options) (*Result, error) {
-	s, err := NewMVASolver(sw, opts...)
+func SolveMVA(sw Switch) (*Result, error) {
+	s, err := NewMVASolver(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -176,32 +168,21 @@ func (s *MVASolver) dAt(j, n1, n2 int) float64 {
 	return s.d[j][s.idx(n1, n2)]
 }
 
-// fill runs the Eq. 12-20 recursions over the whole lattice:
-// sequentially, or as a tiled wavefront when the resolved Options ask
-// for it. Dependencies at a cell — the F staircases from (n - 1_i)
-// down to (n - a_r I) and the D values at (n - a_r I) — all live at
-// strictly smaller n1 + n2 except the same-cell F factors of the D
-// update, which fillBlock computes before the cell's D; anti-
-// diagonal tile order is therefore a topological order and the
-// parallel fill is bit-identical to the sequential one.
-func (s *MVASolver) fill() {
-	rows, cols := s.sw.N1+1, s.sw.N2+1
-	w, tile := s.opt.plan(rows, cols)
-	if w <= 1 {
-		s.fillBlock(0, rows, 0, cols)
-		return
-	}
-	parallel.Wavefront(w, rows, cols, tile, s.fillBlock)
-}
+// fill runs the Eq. 12-20 recursions over the whole lattice as one
+// block, in row-major order.
+func (s *MVASolver) fill() { s.fillBlock(0, s.sw.N1+1, 0, s.sw.N2+1) }
 
 // fillBlock runs the recursions over the half-open cell block
-// [n1lo, n1hi) x [n2lo, n2hi) in row-major order. Each row splits into
-// the guarded boundary band (n1 < maxA or n2 < maxA: the F boundary
+// [n1lo, n1hi) x [n2lo, n2hi) in row-major order. Dependencies at a
+// cell (the F staircases from (n - 1_i) down to (n - a_r I) and the D
+// values at (n - a_r I)) all live at strictly smaller n1 + n2, except
+// the same-cell F factors of the D update, which are computed before
+// the cell's D; so any anti-diagonal order of blocks gives the same
+// bits (TestParallelFillBitIdenticalMVA). Each row splits into the
+// guarded boundary band (n1 < maxA or n2 < maxA: the F boundary
 // values, and classes whose displacement may leave the lattice) and
 // the interior, which fillRowInterior fills in per-class row passes.
-// Whether a cell takes the guarded or the interior body depends only
-// on its coordinates, never on the schedule, so the split preserves
-// the parallel fill's bit-identity guarantee.
+// Which body a cell takes depends only on its coordinates.
 func (s *MVASolver) fillBlock(n1lo, n1hi, n2lo, n2hi int) {
 	n2w := s.sw.N2 + 1
 	var l [rowChunk]float64

@@ -180,7 +180,7 @@ func TestManyClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []func(Switch) (*Result, error){noOpts(Solve), noOpts(SolveMVA), SolveConvolution} {
+	for _, fn := range []func(Switch) (*Result, error){Solve, SolveMVA, SolveConvolution} {
 		got, err := fn(sw)
 		if err != nil {
 			t.Fatal(err)

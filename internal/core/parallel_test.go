@@ -2,19 +2,26 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+
+	"xbar/internal/parallel"
+	"xbar/internal/scale"
 )
 
-// The wavefront-parallel fill must be BIT-identical to the sequential
-// fill — not merely within tolerance — because every cell is computed
-// by the identical instruction sequence reading only finalized cells;
-// only the schedule changes. These tests pin that guarantee across
-// worker counts, tile sizes, traffic mixes (Poisson-only, bursty-only,
-// mixed multirate) and rectangular N1 != N2 switches, for both
-// Algorithm 1 (Q and V lattices) and Algorithm 2 (F and D lattices).
+// The Algorithm 1 wavefront fill must be BIT-identical to the
+// sequential fill, not merely within tolerance, because every cell is
+// computed by the identical instruction sequence reading only
+// finalized cells; only the schedule changes. These tests pin that
+// guarantee across worker counts, tile sizes, traffic mixes
+// (Poisson-only, bursty-only, mixed multirate) and rectangular
+// N1 != N2 switches, below the cutoff through the wavefront entry
+// point and above it through the public Solve. Algorithm 2 always
+// fills sequentially, but its recursions obey the same order, which
+// TestParallelFillBitIdenticalMVA pins through its block fill.
 
 var parallelFillCases = []struct {
 	name    string
@@ -41,18 +48,7 @@ var parallelFillShapes = []struct{ n1, n2 int }{
 	{24, 41},   // rectangular, N1 < N2
 	{41, 24},   // rectangular, N1 > N2
 	{3, 37},    // degenerate: thinner than most tiles
-	{129, 129}, // above the auto-heuristic cutoff footprint at tile 64
-}
-
-func parallelFillGrid(n1, n2 int) []Options {
-	full := max(n1, n2) + 1
-	var opts []Options
-	for _, w := range []int{1, 2, 4, 8} {
-		for _, tile := range []int{1, 8, 64, full} {
-			opts = append(opts, Parallel(w, tile))
-		}
-	}
-	return opts
+	{129, 129}, // many tiles per diagonal at tile 8
 }
 
 // maxprocs raises GOMAXPROCS to at least n for the duration of the
@@ -67,133 +63,196 @@ func maxprocs(t *testing.T, n int) {
 	}
 }
 
+// sequentialSolver fills sw's Algorithm 1 lattice with one
+// whole-lattice fillBlock, the sequential schedule, at any size.
+func sequentialSolver(t *testing.T, sw Switch) *Solver {
+	t.Helper()
+	if err := sw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	size := (sw.N1 + 1) * (sw.N2 + 1)
+	s := &Solver{sw: sw, q: make([]scale.Number, size)}
+	s.prepare(size)
+	s.fillBlock(0, sw.N1+1, 0, sw.N2+1)
+	return s
+}
+
+// refillWavefront poisons s's Q and W lattices and refills them as a
+// wavefront of tile x tile blocks on the given number of workers, so
+// a cell read before it is written shows up as a wrong value.
+func refillWavefront(s *Solver, workers, tile int) {
+	poison := scale.FromFloat64(math.MaxFloat64)
+	for i := range s.q {
+		s.q[i] = poison
+	}
+	for j := range s.bursty {
+		for i := range s.bursty[j].w {
+			s.bursty[j].w[i].Init(poison)
+		}
+	}
+	parallel.Wavefront(workers, s.sw.N1+1, s.sw.N2+1, tile, s.fillBlock)
+}
+
+// assertSameFill fails unless got's Q and W lattices equal want's.
+func assertSameFill(t *testing.T, got, want *Solver) {
+	t.Helper()
+	if !slices.Equal(got.q, want.q) {
+		t.Fatalf("Q lattice differs from sequential fill")
+	}
+	for j := range got.bursty {
+		if !slices.Equal(got.bursty[j].w, want.bursty[j].w) {
+			t.Fatalf("W lattice of bursty class %d differs from sequential fill", j)
+		}
+	}
+}
+
 func TestParallelFillBitIdenticalAlg1(t *testing.T) {
 	maxprocs(t, 8)
 	for _, tc := range parallelFillCases {
 		for _, sh := range parallelFillShapes {
 			sw := Switch{N1: sh.n1, N2: sh.n2, Classes: tc.classes}
-			ref, err := NewSolver(sw, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := sequentialSolver(t, sw)
 			refRes := ref.Result()
-			for _, opt := range parallelFillGrid(sh.n1, sh.n2) {
-				opt := opt
-				t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, opt.Workers, opt.Tile), func(t *testing.T) {
-					par, err := NewSolver(sw, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(par.q, ref.q) {
-						t.Fatalf("Q lattice differs from sequential fill")
-					}
-					for j := range par.bursty {
-						if !slices.Equal(par.bursty[j].w, ref.bursty[j].w) {
-							t.Fatalf("W lattice of bursty class %d differs from sequential fill", j)
+			full := max(sh.n1, sh.n2) + 1
+			for _, w := range []int{1, 2, 4, 8} {
+				for _, tile := range []int{1, 8, 64, full} {
+					t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, w, tile), func(t *testing.T) {
+						par, err := NewSolver(sw)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if got := par.Result(); !reflect.DeepEqual(got, refRes) {
-						t.Fatalf("Result differs from sequential fill:\n got %+v\nwant %+v", got, refRes)
-					}
-				})
+						refillWavefront(par, w, tile)
+						assertSameFill(t, par, ref)
+						if got := par.Result(); !reflect.DeepEqual(got, refRes) {
+							t.Fatalf("Result differs from sequential fill:\n got %+v\nwant %+v", got, refRes)
+						}
+					})
+				}
 			}
 		}
 	}
+	// Above the cutoff the public entry points pick the wavefront.
+	t.Run("poisson+bursty/520x530/solve", func(t *testing.T) {
+		sw := Switch{N1: 520, N2: 530, Classes: []Class{
+			{Name: "p", A: 1, Alpha: 0.0012, Mu: 1},
+			{Name: "b", A: 1, Alpha: 0.0012, Beta: 0.0006, Mu: 1},
+		}}
+		if w, _ := fillPlan(sw.N1+1, sw.N2+1); w <= 1 {
+			t.Fatalf("fill plan for 520x530 is sequential, want a wavefront")
+		}
+		ref := sequentialSolver(t, sw)
+		par, err := NewSolver(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameFill(t, par, ref)
+		res, err := Solve(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ref.Result(); !reflect.DeepEqual(res, want) {
+			t.Fatalf("Solve differs from sequential fill:\n got %+v\nwant %+v", res, want)
+		}
+	})
 }
 
+// TestParallelFillBitIdenticalMVA pins the same dependency order for
+// Algorithm 2: refilling the F and D lattices as a tiled wavefront of
+// fillBlock calls gives the bits of the whole-lattice fill, across
+// the same workers x tiles grid.
 func TestParallelFillBitIdenticalMVA(t *testing.T) {
 	maxprocs(t, 8)
 	for _, tc := range parallelFillCases {
 		for _, sh := range parallelFillShapes {
 			sw := Switch{N1: sh.n1, N2: sh.n2, Classes: tc.classes}
-			ref, err := NewMVASolver(sw, Options{Workers: 1})
+			ref, err := NewMVASolver(sw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refRes := ref.Result()
-			for _, opt := range parallelFillGrid(sh.n1, sh.n2) {
-				opt := opt
-				t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, opt.Workers, opt.Tile), func(t *testing.T) {
-					par, err := NewMVASolver(sw, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(par.f1, ref.f1) || !slices.Equal(par.f2, ref.f2) {
-						t.Fatalf("F lattices differ from sequential fill")
-					}
-					for j := range par.d {
-						if !slices.Equal(par.d[j], ref.d[j]) {
-							t.Fatalf("D lattice of bursty class %d differs from sequential fill", j)
+			full := max(sh.n1, sh.n2) + 1
+			for _, w := range []int{1, 2, 4, 8} {
+				for _, tile := range []int{1, 8, 64, full} {
+					t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, w, tile), func(t *testing.T) {
+						par, err := NewMVASolver(sw)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if got := par.Result(); !reflect.DeepEqual(got, refRes) {
-						t.Fatalf("Result differs from sequential fill:\n got %+v\nwant %+v", got, refRes)
-					}
-				})
+						for _, lat := range append([][]float64{par.f1, par.f2}, par.d...) {
+							for i := range lat {
+								lat[i] = math.NaN()
+							}
+						}
+						parallel.Wavefront(w, sh.n1+1, sh.n2+1, tile, par.fillBlock)
+						if !slices.Equal(par.f1, ref.f1) || !slices.Equal(par.f2, ref.f2) {
+							t.Fatalf("F lattices differ from sequential fill")
+						}
+						for j := range par.d {
+							if !slices.Equal(par.d[j], ref.d[j]) {
+								t.Fatalf("D lattice of bursty class %d differs from sequential fill", j)
+							}
+						}
+						if got := par.Result(); !reflect.DeepEqual(got, refRes) {
+							t.Fatalf("Result differs from sequential fill:\n got %+v\nwant %+v", got, refRes)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-// TestParallelFillReuse checks the schedule survives Reuse: a recycled
-// parallel solver refilled for a different switch stays bit-identical
-// to a fresh sequential solve, and an explicit Options argument to
-// Reuse replaces the schedule.
+// TestParallelFillReuse checks that one recycled solver picks the
+// schedule per fill: Reuse across the cutoff and back stays
+// bit-identical to a fresh sequential fill at every size.
 func TestParallelFillReuse(t *testing.T) {
-	maxprocs(t, 8)
+	maxprocs(t, 4)
 	classes := parallelFillCases[2].classes
-	s, err := NewSolver(Switch{N1: 40, N2: 28, Classes: classes}, Parallel(4, 8))
+	s, err := NewSolver(Switch{N1: 40, N2: 28, Classes: classes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range []struct{ n1, n2 int }{{28, 40}, {40, 40}, {9, 9}} {
+	for _, sh := range []struct{ n1, n2 int }{{520, 530}, {28, 40}, {600, 520}, {9, 9}} {
 		sw := Switch{N1: sh.n1, N2: sh.n2, Classes: classes}
 		if err := s.Reuse(sw); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewSolver(sw, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		ref := sequentialSolver(t, sw)
+		assertSameFill(t, s, ref)
+		if got, want := s.Result(), ref.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Reuse(%dx%d) Result differs from sequential", sh.n1, sh.n2)
 		}
-		if !slices.Equal(s.q, ref.q) {
-			t.Fatalf("Reuse(%dx%d) parallel lattice differs from sequential", sh.n1, sh.n2)
-		}
-	}
-	// Replacing the schedule through Reuse must leave results unchanged.
-	sw := Switch{N1: 33, N2: 33, Classes: classes}
-	if err := s.Reuse(sw, Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	seq := append([]Result(nil), *s.Result())
-	if err := s.Reuse(sw, Parallel(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*s.Result(), seq[0]) {
-		t.Fatal("Reuse with a new schedule changed the Result")
 	}
 }
 
-// TestAutoHeuristic pins the auto plan: sequential below the cutoff
-// (1 worker), parallel above it, and explicit worker counts honored
-// regardless of size.
+// TestAutoHeuristic pins the size rule: sequential up to the N = 512
+// lattice, a wavefront on GOMAXPROCS workers above it with ~2 tiles
+// per worker on the long diagonals (edge clamped to [16, 256]), and
+// sequential at any size on a single CPU.
 func TestAutoHeuristic(t *testing.T) {
-	if w, _ := (Options{}).plan(17, 17); w != 1 {
-		t.Errorf("auto plan at 17x17 chose %d workers, want sequential", w)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, sh := range []struct{ rows, cols int }{{2, 2}, {17, 17}, {257, 257}, {513, 513}, {400, 650}} {
+		if w, _ := fillPlan(sh.rows, sh.cols); w != 1 {
+			t.Errorf("plan at %dx%d chose %d workers, want sequential", sh.rows, sh.cols, w)
+		}
 	}
-	if w, _ := (Options{Workers: 7}).plan(5, 5); w != 7 {
-		t.Errorf("explicit 7 workers at 5x5 resolved to %d", w)
+	for _, tc := range []struct{ procs, rows, cols, tile int }{
+		{2, 514, 514, 128},
+		{2, 521, 531, 130},
+		{2, 1025, 1025, 256},
+		{2, 300, 1025, 75},
+		{8, 1025, 1025, 64},
+		{8, 300, 1025, 18},
+		{32, 520, 600, 16},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		if w, tile := fillPlan(tc.rows, tc.cols); w != tc.procs || tile != tc.tile {
+			t.Errorf("plan at %dx%d on %d CPUs = (%d, %d), want (%d, %d)",
+				tc.rows, tc.cols, tc.procs, w, tile, tc.procs, tc.tile)
+		}
 	}
-	if w, _ := (Options{Workers: 1}).plan(1000, 1000); w != 1 {
-		t.Errorf("explicit sequential at 1000x1000 resolved to %d workers", w)
-	}
-	w, tile := (Options{}).plan(257, 257)
-	if w < 1 {
-		t.Errorf("auto plan at 257x257 resolved to %d workers", w)
-	}
-	if w > 1 && tile < 1 {
-		t.Errorf("auto plan at 257x257 resolved tile %d", tile)
-	}
-	if _, tile := (Options{Workers: 4, Tile: 9}).plan(257, 257); tile != 9 {
-		t.Errorf("explicit tile 9 resolved to %d", tile)
+	runtime.GOMAXPROCS(1)
+	if w, _ := fillPlan(1025, 1025); w != 1 {
+		t.Errorf("plan at 1025x1025 on one CPU chose %d workers, want sequential", w)
 	}
 }

@@ -208,9 +208,9 @@ var fillRefShapes = []struct{ n1, n2 int }{
 // TestFillMatchesPerCellReference pins both algorithms' fills to the
 // per-cell reference bodies above, bitwise, across random class mixes
 // (up to four classes, a_r <= 3, all three BPP kinds), the shapes of
-// fillRefShapes, and the sequential and wavefront schedules. A few
-// mixes with a_r of 4 and 5 cover the staircases longer than the fused
-// six-factor products.
+// fillRefShapes, and Algorithm 1's sequential and wavefront schedules.
+// A few mixes with a_r of 4 and 5 cover the staircases longer than the
+// fused six-factor products.
 func TestFillMatchesPerCellReference(t *testing.T) {
 	maxprocs(t, 4)
 	rng := rand.New(rand.NewSource(20260612))
@@ -235,15 +235,15 @@ func TestFillMatchesPerCellReference(t *testing.T) {
 	}
 }
 
-// checkFillAgainstReference fills sw with both algorithms under the
-// sequential schedule and wavefronts with tiles 1, 3 and 16, and
-// compares every lattice cell bitwise against the per-cell reference.
+// checkFillAgainstReference fills sw with both algorithms, Algorithm 1
+// also as wavefronts with tiles 1, 3 and 16, and compares every
+// lattice cell bitwise against the per-cell reference.
 func checkFillAgainstReference(t *testing.T, name string, sw Switch) {
 	t.Helper()
 	if err := sw.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ref1, err := NewSolver(sw, Options{Workers: 1})
+	ref1, err := NewSolver(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func checkFillAgainstReference(t *testing.T, name string, sw Switch) {
 		ref1.q[i] = scale.FromFloat64(math.MaxFloat64)
 	}
 	refFillAlg1(ref1)
-	ref2, err := NewMVASolver(sw, Options{Workers: 1})
+	ref2, err := NewMVASolver(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,25 +259,28 @@ func checkFillAgainstReference(t *testing.T, name string, sw Switch) {
 		ref2.f1[i], ref2.f2[i] = math.NaN(), math.NaN()
 	}
 	refFillMVA(ref2)
-	for _, opt := range []Options{{Workers: 1}, Parallel(4, 1), Parallel(3, 3), Parallel(2, 16)} {
-		name := fmt.Sprintf("%s/w%d_t%d", name, opt.Workers, opt.Tile)
-		s1, err := NewSolver(sw, opt)
+	for _, sched := range []struct{ workers, tile int }{{1, 0}, {4, 1}, {3, 3}, {2, 16}} {
+		name := fmt.Sprintf("%s/w%d_t%d", name, sched.workers, sched.tile)
+		s1, err := NewSolver(sw)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sched.tile > 0 {
+			refillWavefront(s1, sched.workers, sched.tile)
 		}
 		assertBitsEqual(t, name+"/Q", numberBits(s1.q), numberBits(ref1.q))
 		for j := range s1.bursty {
 			assertBitsEqual(t, fmt.Sprintf("%s/W%d", name, j), accBits(s1.bursty[j].w), accBits(ref1.bursty[j].w))
 		}
-		s2, err := NewMVASolver(sw, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitsEqual(t, name+"/F1", floatBits(s2.f1), floatBits(ref2.f1))
-		assertBitsEqual(t, name+"/F2", floatBits(s2.f2), floatBits(ref2.f2))
-		for j := range s2.d {
-			assertBitsEqual(t, fmt.Sprintf("%s/D%d", name, j), floatBits(s2.d[j]), floatBits(ref2.d[j]))
-		}
+	}
+	s2, err := NewMVASolver(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitsEqual(t, name+"/F1", floatBits(s2.f1), floatBits(ref2.f1))
+	assertBitsEqual(t, name+"/F2", floatBits(s2.f2), floatBits(ref2.f2))
+	for j := range s2.d {
+		assertBitsEqual(t, fmt.Sprintf("%s/D%d", name, j), floatBits(s2.d[j]), floatBits(ref2.d[j]))
 	}
 }
 

@@ -114,10 +114,9 @@ type SweepSolver struct {
 }
 
 // NewSweepSolver validates sw, fills the Algorithm 1 lattice once, and
-// returns the memoizing read layer. An optional Options argument
-// selects the fill schedule (see Parallel).
-func NewSweepSolver(sw Switch, opts ...Options) (*SweepSolver, error) {
-	solver, err := NewSolver(sw, opts...)
+// returns the memoizing read layer.
+func NewSweepSolver(sw Switch) (*SweepSolver, error) {
+	solver, err := NewSolver(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -129,14 +128,14 @@ func NewSweepSolver(sw Switch, opts ...Options) (*SweepSolver, error) {
 // and resetting the memoized reads. The zero value of SweepSolver is
 // ready for Reuse, mirroring Solver — the admission-control server's
 // solver cache recycles evicted sweep solvers this way instead of
-// allocating fresh lattices per cache miss.
+// allocating fresh lattices per cache miss. Trailing Options are inert.
 //
 //lint:pooled recv — refilling invalidates Results previously read off this solver
-func (s *SweepSolver) Reuse(sw Switch, opts ...Options) error {
+func (s *SweepSolver) Reuse(sw Switch, _ ...Options) error {
 	if s.solver == nil {
 		s.solver = &Solver{}
 	}
-	if err := s.solver.Reuse(sw, opts...); err != nil {
+	if err := s.solver.Reuse(sw); err != nil {
 		return err
 	}
 	s.sweepCache.reset(s.solver.sw, s.solver)
@@ -152,10 +151,9 @@ type MVASweepSolver struct {
 }
 
 // NewMVASweepSolver validates sw, fills the Algorithm 2 ratio lattices
-// once, and returns the memoizing read layer. An optional Options
-// argument selects the fill schedule (see Parallel).
-func NewMVASweepSolver(sw Switch, opts ...Options) (*MVASweepSolver, error) {
-	solver, err := NewMVASolver(sw, opts...)
+// once, and returns the memoizing read layer.
+func NewMVASweepSolver(sw Switch) (*MVASweepSolver, error) {
+	solver, err := NewMVASolver(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -165,14 +163,14 @@ func NewMVASweepSolver(sw Switch, opts ...Options) (*MVASweepSolver, error) {
 // Reuse re-points the sweep solver at sw, refilling the retained ratio
 // lattices through MVASolver.Reuse and resetting the memoized reads.
 // The zero value of MVASweepSolver is ready for Reuse, same contract
-// as SweepSolver.Reuse.
+// as SweepSolver.Reuse. Trailing Options are inert.
 //
 //lint:pooled recv — refilling invalidates Results previously read off this solver
-func (s *MVASweepSolver) Reuse(sw Switch, opts ...Options) error {
+func (s *MVASweepSolver) Reuse(sw Switch, _ ...Options) error {
 	if s.solver == nil {
 		s.solver = &MVASolver{}
 	}
-	if err := s.solver.Reuse(sw, opts...); err != nil {
+	if err := s.solver.Reuse(sw); err != nil {
 		return err
 	}
 	s.sweepCache.reset(s.solver.sw, s.solver)

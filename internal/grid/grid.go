@@ -41,10 +41,8 @@
 // property tests.
 //
 // Scheduling: group fills run on a work-stealing pool (workers claim
-// groups from a shared queue) over Reuse-recycled solvers, and the
-// worker budget is split with the wavefront intra-fill parallelism —
-// many small fills run sequentially side by side, a lone large fill
-// gets the whole budget as wavefront workers.
+// groups from a shared queue) over Reuse-recycled solvers; each fill
+// picks its own schedule from its lattice size (core.Solver).
 package grid
 
 import (
@@ -61,13 +59,9 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the shared worker budget, split between point-level
-	// parallelism (concurrent group fills) and each fill's wavefront
-	// schedule. Zero selects runtime.GOMAXPROCS(0).
+	// Workers bounds the pool of concurrent group fills. Zero selects
+	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Tile is the wavefront tile edge handed to core.Parallel (0 =
-	// automatic).
-	Tile int
 	// NoMemo disables canonicalization, deduplication, grouping and
 	// the cross-call memo: every point pays a full lattice fill of its
 	// own, through the same pooled solvers. This is the engine's
@@ -370,15 +364,9 @@ func (e *Engine) Solve(points []core.Switch) ([]*core.Result, error) {
 		return results, nil
 	}
 
-	// Execute: workers claim groups off the shared queue; the fill
-	// budget is what the group-level parallelism leaves over, so a
-	// lone large fill still gets the whole budget as wavefront
-	// workers.
-	budget := parallel.Workers(e.opt.Workers)
-	workers := min(budget, len(groups))
-	fill := core.Parallel(max(1, budget/workers), e.opt.Tile)
-	err := parallel.ForEach(workers, groups, func(_ int, g *fillGroup) error {
-		return e.solveGroup(g, uniq, points, results, fill)
+	// Execute: workers claim groups off the shared queue.
+	err := parallel.ForEach(e.opt.Workers, groups, func(_ int, g *fillGroup) error {
+		return e.solveGroup(g, uniq, points, results)
 	})
 	if err != nil {
 		return nil, err
@@ -406,13 +394,13 @@ func (e *Engine) stampTiers(results []*core.Result) {
 // solveGroup runs one group's lattice fill and scatters its members'
 // results. The fill carries a pprof label so `make profile` and the
 // xbard debug mux attribute grid time per phase.
-func (e *Engine) solveGroup(g *fillGroup, uniq []*uniquePoint, points []core.Switch, results []*core.Result, fill core.Options) error {
+func (e *Engine) solveGroup(g *fillGroup, uniq []*uniquePoint, points []core.Switch, results []*core.Result) error {
 	solver := e.takeSolver()
 	defer e.putSolver(solver)
 	sw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("xbar_phase", "grid_fill"), func(context.Context) {
-		err = solver.Reuse(sw, fill)
+		err = solver.Reuse(sw)
 	})
 	if err != nil {
 		return fmt.Errorf("grid: fill %dx%d: %w", g.n1, g.n2, err)
@@ -436,12 +424,9 @@ func (e *Engine) solveGroup(g *fillGroup, uniq []*uniquePoint, points []core.Swi
 // solveFresh is the NoMemo path: one full fill per point through the
 // pooled solvers, no sharing of any kind.
 func (e *Engine) solveFresh(points []core.Switch, results []*core.Result) error {
-	budget := parallel.Workers(e.opt.Workers)
-	workers := min(budget, len(points))
-	fill := core.Parallel(max(1, budget/workers), e.opt.Tile)
 	var asymPoints, fills int
 	var statsMu sync.Mutex
-	err := parallel.ForEach(workers, points, func(i int, sw core.Switch) error {
+	err := parallel.ForEach(e.opt.Workers, points, func(i int, sw core.Switch) error {
 		if e.opt.Dispatch != nil {
 			res, ok, err := core.TryAsymptotic(sw, *e.opt.Dispatch)
 			if err != nil {
@@ -459,7 +444,7 @@ func (e *Engine) solveFresh(points []core.Switch, results []*core.Result) error 
 		defer e.putSolver(solver)
 		var err error
 		pprof.Do(context.Background(), pprof.Labels("xbar_phase", "grid_fill"), func(context.Context) {
-			err = solver.Reuse(sw, fill)
+			err = solver.Reuse(sw)
 		})
 		if err != nil {
 			return fmt.Errorf("grid: point %d: %w", i, err)

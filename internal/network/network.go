@@ -141,8 +141,6 @@ type FPConfig struct {
 	Tol float64
 	// MaxIter guards against oscillation.
 	MaxIter int
-	// Fill configures the per-switch lattice fills (workers, tile).
-	Fill core.Options
 	// NoMemo switches the evaluation engine to its full-fill fallback:
 	// every per-switch solve pays its own lattice fill, as the
 	// pre-engine code did. The fixed point's results are bit-identical
@@ -154,15 +152,9 @@ type FPConfig struct {
 
 // FixedPoint solves the reduced-load approximation by successive
 // substitution. tol bounds the largest per-switch blocking change at
-// convergence; maxIter guards against oscillation. An optional
-// core.Options configures the per-switch lattice fills (e.g.
-// core.Parallel for the wavefront schedule on large switches).
-func FixedPoint(n Network, tol float64, maxIter int, opts ...core.Options) (*FPResult, error) {
-	cfg := FPConfig{Tol: tol, MaxIter: maxIter}
-	if len(opts) > 0 {
-		cfg.Fill = opts[0]
-	}
-	return FixedPointWith(n, cfg)
+// convergence; maxIter guards against oscillation.
+func FixedPoint(n Network, tol float64, maxIter int) (*FPResult, error) {
+	return FixedPointWith(n, FPConfig{Tol: tol, MaxIter: maxIter})
 }
 
 // FixedPointWith is FixedPoint with the full configuration surface.
@@ -192,7 +184,7 @@ func FixedPointWith(n Network, cfg FPConfig) (*FPResult, error) {
 	hopB := func(s, a int) float64 { return b[s][a] } // zero until solved
 	load := make([]float64, nS)
 	classLoad := make([]map[int]float64, nS)
-	eng := grid.New(grid.Options{Workers: cfg.Fill.Workers, Tile: cfg.Fill.Tile, NoMemo: cfg.NoMemo})
+	eng := grid.New(grid.Options{NoMemo: cfg.NoMemo})
 	var iter int
 	for iter = 1; iter <= cfg.MaxIter; iter++ {
 		// Thinned offered loads, split by bandwidth class.

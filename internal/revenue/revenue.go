@@ -22,6 +22,7 @@ package revenue
 
 import (
 	"fmt"
+	"math"
 
 	"xbar/internal/combin"
 	"xbar/internal/core"
@@ -40,34 +41,30 @@ type Analysis struct {
 	// the first gradient call and recycled afterwards.
 	scratch        *core.Solver
 	scratchClasses []core.Class
-	opts           []core.Options
 }
 
 // New builds an Analysis. weights must contain one revenue rate per
-// traffic class. An optional core.Options configures every lattice
-// fill the analysis runs — the sweep solve and the perturbed gradient
-// re-solves alike (e.g. core.Parallel for the wavefront schedule).
-func New(sw core.Switch, weights []float64, opts ...core.Options) (*Analysis, error) {
-	sweep, err := core.NewSweepSolver(sw, opts...)
+// traffic class.
+func New(sw core.Switch, weights []float64) (*Analysis, error) {
+	sweep, err := core.NewSweepSolver(sw)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithSweep(sweep, weights, opts...)
+	return NewWithSweep(sweep, weights)
 }
 
 // NewWithSweep builds an Analysis on an already filled sweep solver,
 // sharing its retained lattice instead of filling a new one — the path
 // the admission-control server (internal/server) takes so revenue
 // reads ride its solver cache. weights must contain one revenue rate
-// per class of the sweep's switch. opts configures only the perturbed
-// re-solves of the numerical gradients; the sweep's own fill schedule
-// was fixed when the sweep solver was built.
-func NewWithSweep(sweep *core.SweepSolver, weights []float64, opts ...core.Options) (*Analysis, error) {
+// per class of the sweep's switch. The trailing core.Options are inert
+// (see core.Options).
+func NewWithSweep(sweep *core.SweepSolver, weights []float64, _ ...core.Options) (*Analysis, error) {
 	sw := sweep.Switch()
 	if len(weights) != len(sw.Classes) {
 		return nil, fmt.Errorf("revenue: %d weights for %d classes", len(weights), len(sw.Classes))
 	}
-	return &Analysis{sw: sw, weights: weights, sweep: sweep, opts: opts}, nil
+	return &Analysis{sw: sw, weights: weights, sweep: sweep}, nil
 }
 
 // Switch returns the analyzed switch.
@@ -115,7 +112,8 @@ func (a *Analysis) GradientRhoClosed(r int) float64 {
 
 // GradientRho returns dW/d rho_r by symmetric central difference with
 // relative step h (the per-route load rho_r = alpha_r/mu_r is
-// perturbed by +-h*max(rho_r, floor)). It re-solves the model twice.
+// perturbed by +-h*max(rho_r, floor)). It re-solves the model twice,
+// and is NaN when a perturbed model is invalid (see perturbedW).
 func (a *Analysis) GradientRho(r int, h float64) float64 {
 	c := a.sw.Classes[r]
 	step := h * maxf(c.Rho(), 1e-9)
@@ -125,15 +123,27 @@ func (a *Analysis) GradientRho(r int, h float64) float64 {
 // GradientBetaMu returns dW/d(beta_r/mu_r) by symmetric central
 // difference, the numerical approach the paper uses for bursty classes
 // (Section 4 approximates it via a forward difference; the central
-// form halves the truncation error at the same cost).
+// form halves the truncation error at the same cost). It is NaN when a
+// perturbed model is invalid (see perturbedW), which includes every
+// Bernoulli class.
 func (a *Analysis) GradientBetaMu(r int, h float64) float64 {
 	c := a.sw.Classes[r]
 	step := h * maxf(absf(c.BetaMu()), maxf(c.Rho(), 1e-9))
 	return (a.perturbedW(r, 0, step*c.Mu) - a.perturbedW(r, 0, -step*c.Mu)) / (2 * step)
 }
 
+// HasBetaMuGradient reports whether GradientBetaMu is defined for
+// class c of sw: a Pascal class (beta > 0) on a switch of at least
+// 2x2. A Poisson class has no beta to move, and a Bernoulli class's
+// beta cannot move continuously: its population -alpha/beta must stay
+// an integer.
+func HasBetaMuGradient(c core.Class, sw core.Switch) bool {
+	return !c.IsPoisson() && c.Beta > 0 && sw.MinN() >= 2
+}
+
 // GradientBetaMuForward returns the one-sided forward difference the
-// paper describes, for faithfulness comparisons.
+// paper describes, for faithfulness comparisons. NaN when the
+// perturbed model is invalid (see perturbedW).
 func (a *Analysis) GradientBetaMuForward(r int, h float64) float64 {
 	c := a.sw.Classes[r]
 	step := h * maxf(absf(c.BetaMu()), maxf(c.Rho(), 1e-9))
@@ -142,7 +152,11 @@ func (a *Analysis) GradientBetaMuForward(r int, h float64) float64 {
 
 // perturbedW re-solves with class r's alpha and beta shifted, through
 // the recycled scratch solver (Reuse keeps the Q/V lattices allocated
-// across the 2-4 solves a gradient takes).
+// across the 2-4 solves a gradient takes). A shifted model outside the
+// valid parameter region has no W and yields NaN: beta_r/mu_r reaching
+// 1, a negative rate, or a Bernoulli class (beta_r < 0) whose
+// population -alpha_r/beta_r stops being an integer, which any shift
+// of a Bernoulli class's alpha or beta causes.
 func (a *Analysis) perturbedW(r int, dAlpha, dBeta float64) float64 {
 	if a.scratchClasses == nil {
 		a.scratchClasses = make([]core.Class, len(a.sw.Classes))
@@ -154,12 +168,8 @@ func (a *Analysis) perturbedW(r int, dAlpha, dBeta float64) float64 {
 	if a.scratch == nil {
 		a.scratch = &core.Solver{}
 	}
-	if err := a.scratch.Reuse(sw, a.opts...); err != nil {
-		// A perturbation that leaves the valid parameter region (e.g.
-		// a Bernoulli population constraint) indicates the step was
-		// too large for this model; surface it loudly.
-		//lint:allow libpanic a perturbation step outside the valid parameter region is a caller bug (step too large), not a recoverable state
-		panic(fmt.Sprintf("revenue: perturbed solve failed: %v", err))
+	if err := a.scratch.Reuse(sw); err != nil {
+		return math.NaN()
 	}
 	return a.scratch.Result().Revenue(a.weights)
 }

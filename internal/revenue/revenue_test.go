@@ -256,3 +256,36 @@ func TestNewWithSweepSharesLattice(t *testing.T) {
 		t.Error("mismatched weights accepted")
 	}
 }
+
+// TestGradientOutsideValidRegion pins that a perturbed re-solve
+// leaving the valid parameter region yields NaN, not a panic: a
+// Bernoulli class's alpha and beta cannot move off its integer
+// population, and a Pascal class at beta/mu = 0.95 cannot take a 10%
+// step up.
+func TestGradientOutsideValidRegion(t *testing.T) {
+	sw := core.Switch{N1: 8, N2: 8, Classes: []core.Class{
+		{Name: "p", A: 1, Alpha: 0.01, Mu: 1},
+		{Name: "smooth", A: 1, Alpha: 0.02, Beta: -0.001, Mu: 1},
+		{Name: "peaky", A: 1, Alpha: 0.01, Beta: 0.95, Mu: 1},
+	}}
+	a, err := New(sw, []float64{1, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    float64
+		nan  bool
+	}{
+		{"bernoulli beta/mu", a.GradientBetaMu(1, 1e-4), true},
+		{"bernoulli forward beta/mu", a.GradientBetaMuForward(1, 1e-4), true},
+		{"bernoulli rho", a.GradientRho(1, 1e-6), true},
+		{"pascal beta/mu step past 1", a.GradientBetaMu(2, 0.1), true},
+		{"pascal beta/mu small step", a.GradientBetaMu(2, 1e-4), false},
+		{"poisson rho", a.GradientRho(0, 1e-6), false},
+	} {
+		if got := math.IsNaN(tc.g); got != tc.nan {
+			t.Errorf("%s: gradient %v, want NaN %v", tc.name, tc.g, tc.nan)
+		}
+	}
+}

@@ -43,7 +43,7 @@ func newTestFleet(t testing.TB, n int) *testFleet {
 		peers[id] = "http://" + ln.Addr().String()
 	}
 	for i, id := range f.ids {
-		s, err := New(Config{NodeID: id, Peers: peers, Workers: 1})
+		s, err := New(Config{NodeID: id, Peers: peers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,9 +223,8 @@ func TestClusterDeadPeerAtStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		NodeID:  "live",
-		Peers:   map[string]string{"live": "http://" + live.Addr().String(), "dead": deadURL},
-		Workers: 1,
+		NodeID: "live",
+		Peers:  map[string]string{"live": "http://" + live.Addr().String(), "dead": deadURL},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +255,7 @@ func TestClusterDeadPeerAtStartup(t *testing.T) {
 		t.Fatal("no spec owned by the dead node in the probed range")
 	}
 
-	_, single := newTestServer(t, Config{Workers: 1})
+	_, single := newTestServer(t, Config{})
 	var want, got BlockingResponse
 	if code := postJSON(t, single, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, &want); code != http.StatusOK {
 		t.Fatalf("single-node status %d", code)
@@ -451,7 +450,7 @@ func TestClusterRollup(t *testing.T) {
 // section in /metrics, no node header on responses, /v1/cluster 404 —
 // the pre-cluster daemon's observable surface.
 func TestSingleNodeBitIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	buf, _ := json.Marshal(BlockingRequest{SwitchSpec: paperSpec(8)})
 	resp, err := http.Post(ts.URL+"/v1/blocking", "application/json", bytes.NewReader(buf))
 	if err != nil {
@@ -492,7 +491,7 @@ func TestSingleNodeBitIdentity(t *testing.T) {
 // TestReadyz pins the readiness lifecycle: ready after New, draining
 // (503) once shutdown begins, while /healthz stays 200 throughout.
 func TestReadyz(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	get := func(path string) int {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)

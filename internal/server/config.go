@@ -7,8 +7,7 @@
 //
 //   - one LRU cache type for solvers and scenario results, keyed by
 //     the canonicalized model (for solvers: algorithm, dimensions,
-//     per-route classes — names and fill schedule excluded, results
-//     are bit-identical across schedules) so repeated evaluations of
+//     per-route classes — names excluded) so repeated evaluations of
 //     one operating point share a single fill;
 //   - single-flight deduplication, so concurrent identical requests
 //     wait for one fill instead of racing N of them;
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"xbar/internal/cluster"
-	"xbar/internal/core"
 	"xbar/internal/parallel"
 )
 
@@ -92,13 +90,6 @@ type Config struct {
 	// VNodes is the virtual nodes per member on the consistent-hash
 	// ring. Default 64.
 	VNodes int
-	// Workers and Tile select the wavefront fill schedule passed to
-	// core.Parallel for every lattice fill. Workers = 0 divides
-	// GOMAXPROCS by MaxConcurrent so that MaxConcurrent concurrent
-	// fills together fill the machine instead of oversubscribing it;
-	// Workers = 1 forces sequential fills.
-	Workers int
-	Tile    int
 	// Logf, when non-nil, receives lifecycle log lines (Printf style).
 	Logf func(format string, args ...any)
 }
@@ -142,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if c.Workers == 0 {
-		c.Workers = max(1, parallel.Workers(0)/c.MaxConcurrent)
-	}
 	return c
 }
 
@@ -183,9 +171,6 @@ func (c Config) validate() error {
 	if c.VNodes < 0 {
 		return fmt.Errorf("server: VNodes %d is negative", c.VNodes)
 	}
-	if c.Workers < 0 || c.Tile < 0 {
-		return fmt.Errorf("server: negative fill schedule (workers %d, tile %d)", c.Workers, c.Tile)
-	}
 	return nil
 }
 
@@ -195,9 +180,12 @@ func (c Config) clusterConfig() cluster.Config {
 	return cluster.Config{NodeID: c.NodeID, Peers: c.Peers, VNodes: c.VNodes}
 }
 
-// fillOptions is the lattice-fill schedule every solve runs with.
-func (c Config) fillOptions() core.Options {
-	return core.Parallel(c.Workers, c.Tile)
+// gridWorkers sizes the scenario grid engine's pool of concurrent
+// group fills: GOMAXPROCS divided by MaxConcurrent, so MaxConcurrent
+// concurrent evaluations together fill the machine instead of
+// oversubscribing it.
+func (c Config) gridWorkers() int {
+	return max(1, parallel.Workers(0)/c.MaxConcurrent)
 }
 
 // logf forwards to Logf when configured.

@@ -38,7 +38,7 @@ func (s *Server) parseDispatch(d DispatchSpec) (*core.DispatchOptions, error) {
 	if !finite(d.Tolerance) || d.Tolerance < 0 {
 		return nil, badRequest("tolerance %v, want a finite value >= 0", d.Tolerance)
 	}
-	return &core.DispatchOptions{Policy: pol, Tolerance: d.Tolerance, Fill: s.cfg.fillOptions()}, nil
+	return &core.DispatchOptions{Policy: pol, Tolerance: d.Tolerance}, nil
 }
 
 // unprocessable builds a 422: the request is well-formed but the
@@ -125,7 +125,7 @@ func asymRevenue(req RevenueRequest, sw core.Switch, step float64) (RevenueRespo
 			GradRhoClosed: grad,
 			ErrorBound:    an.Bound(i),
 		}
-		if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
+		if req.Gradients && revenue.HasBetaMuGradient(c, sw) {
 			g, err := an.GradientBetaMu(i, step)
 			if err != nil {
 				return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)

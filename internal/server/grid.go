@@ -195,20 +195,18 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	// Forward the whole request only when every group entry lives on
 	// one peer (maybeForward's all-same-owner rule); mixed ownership
 	// computes locally — correct, just less fleet-wide dedup.
-	if len(order) > 0 {
-		keys := make([]string, len(order))
-		for i, ck := range order {
-			g := groups[ck]
-			keys[i] = cacheKey(alg, core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes})
-		}
-		if s.maybeForward(w, r, body, keys...) {
-			return nil
-		}
+	keys := make([]string, len(order))
+	for i, ck := range order {
+		g := groups[ck]
+		keys[i] = cacheKey(alg, core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes})
 	}
-	for _, ck := range order {
+	if len(order) > 0 && s.maybeForward(w, r, body, keys...) {
+		return nil
+	}
+	for k, ck := range order {
 		g := groups[ck]
 		groupSw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
-		if err := s.readEntry(r, alg, groupSw, func(e *solverEntry, cached bool) error {
+		if err := s.readEntry(r, keys[k], alg, groupSw, func(e *solverEntry, cached bool) error {
 			if cached {
 				resp.Cached++
 			}

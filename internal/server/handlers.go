@@ -211,11 +211,12 @@ func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
 		})
 		return nil
 	}
-	if s.maybeForward(w, r, body, cacheKey(alg, sw)) {
+	key := cacheKey(alg, sw)
+	if s.maybeForward(w, r, body, key) {
 		return nil
 	}
 	var resp BlockingResponse
-	if err := s.readEntry(r, alg, sw, func(e *solverEntry, cached bool) error {
+	if err := s.readEntry(r, key, alg, sw, func(e *solverEntry, cached bool) error {
 		res := e.result()
 		resp = BlockingResponse{
 			N1: sw.N1, N2: sw.N2,
@@ -238,9 +239,9 @@ func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
 
 // RevenueRequest is the POST /v1/revenue body. Weights must carry one
 // revenue rate per class. Gradients requests the numerical
-// dW/d(beta/mu) central differences for bursty classes on top of the
-// closed-form dW/drho — they cost extra lattice fills per bursty
-// class, the in-lattice reads do not.
+// dW/d(beta/mu) central differences for Pascal (peaky, beta > 0)
+// classes on top of the closed-form dW/drho — they cost extra lattice
+// fills per Pascal class, the in-lattice reads do not.
 type RevenueRequest struct {
 	SwitchSpec
 	DispatchSpec
@@ -311,14 +312,15 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 		s.writeJSON(w, http.StatusOK, resp)
 		return nil
 	}
-	if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
+	key := cacheKey(alg1, sw)
+	if s.maybeForward(w, r, body, key) {
 		return nil
 	}
 	// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
 	// reads and gradient re-solves run on the scaled lattice.
 	var resp RevenueResponse
-	if err := s.readEntry(r, alg1, sw, func(e *solverEntry, cached bool) error {
-		an, err := revenue.NewWithSweep(e.sweep, req.Weights, s.cfg.fillOptions())
+	if err := s.readEntry(r, key, alg1, sw, func(e *solverEntry, cached bool) error {
+		an, err := revenue.NewWithSweep(e.sweep, req.Weights)
 		if err != nil {
 			return badRequest("%v", err)
 		}
@@ -331,8 +333,12 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 				Profitable:    an.Profitable(i),
 				GradRhoClosed: an.GradientRhoClosed(i),
 			}
-			if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
+			if req.Gradients && revenue.HasBetaMuGradient(c, sw) {
 				g := an.GradientBetaMu(i, step)
+				if math.IsNaN(g) {
+					return unprocessable("class %d (%s): gradient step %v takes beta/mu outside the valid parameter region",
+						i, req.Classes[i].Name, step)
+				}
 				cr.GradBetaMu = &g
 			}
 			resp.Classes = append(resp.Classes, cr)
@@ -424,11 +430,12 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 			})
 			return nil
 		}
-		if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
+		key := cacheKey(alg1, sw)
+		if s.maybeForward(w, r, body, key) {
 			return nil
 		}
 		resp := AdmissionResponse{Policy: "profitability", Class: req.Class, Weight: &req.Weights[req.Class]}
-		if err := s.readEntry(r, alg1, sw, func(e *solverEntry, cached bool) error {
+		if err := s.readEntry(r, key, alg1, sw, func(e *solverEntry, cached bool) error {
 			an, err := revenue.NewWithSweep(e.sweep, req.Weights)
 			if err != nil {
 				return badRequest("%v", err)
@@ -608,10 +615,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		}
 		entrySw = core.Switch{N1: emax1, N2: emax2, Classes: sw.Classes}
 	}
-	if s.maybeForward(w, r, body, cacheKey(alg, entrySw)) {
+	key := cacheKey(alg, entrySw)
+	if s.maybeForward(w, r, body, key) {
 		return nil
 	}
-	if err := s.readEntry(r, alg, entrySw, func(e *solverEntry, cached bool) error {
+	if err := s.readEntry(r, key, alg, entrySw, func(e *solverEntry, cached bool) error {
 		resp.Method, resp.Cached = e.result().Method, cached
 		for i, p := range points {
 			if asym == nil || !asym[i] {
@@ -684,8 +692,8 @@ func resultRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 // lattice fills (the CPU-heavy part), while hits and requests sharing
 // another's fill pass straight through, and entry reads are
 // serialized per entry by the entry lock.
-func (s *Server) readEntry(r *http.Request, alg string, sw core.Switch, read func(e *solverEntry, cached bool) error) error {
-	h, cached, err := s.cache.get(r.Context(), cacheKey(alg, sw), func() (*solverEntry, error) {
+func (s *Server) readEntry(r *http.Request, key, alg string, sw core.Switch, read func(e *solverEntry, cached bool) error) error {
+	h, cached, err := s.cache.get(r.Context(), key, func() (*solverEntry, error) {
 		release, err := s.acquire(r.Context())
 		if err != nil {
 			return nil, overloaded(err)

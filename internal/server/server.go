@@ -65,7 +65,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	m := newMetrics(endpointNames...)
-	solvers := &solverPool{opts: cfg.fillOptions(), recycled: &m.solversRecycled}
+	solvers := &solverPool{recycled: &m.solversRecycled}
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
@@ -77,7 +77,7 @@ func New(cfg Config) (*Server, error) {
 		scenario: scenario.New(scenario.Options{
 			NoMemo: true,
 			Limits: cfg.scenarioLimits(),
-			Grid:   grid.Options{Workers: cfg.Workers, Tile: cfg.Tile},
+			Grid:   grid.Options{Workers: cfg.gridWorkers()},
 		}),
 		scCache: newCache[*scenario.Result](cfg.ScenarioCacheSize, nil, &m.scCache),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),

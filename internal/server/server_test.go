@@ -356,6 +356,71 @@ func TestRevenueEndpoint(t *testing.T) {
 	}
 }
 
+// TestRevenueGradientProbes pins /v1/revenue's gradient answers at
+// the edge of the valid parameter region: a Bernoulli class gets no
+// grad_beta_mu (its beta cannot move off the integer population), and
+// a step that pushes a Pascal class's beta/mu past 1 is a 422 naming
+// the class. Neither is a 500.
+func TestRevenueGradientProbes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cases := []struct {
+		name string
+		body string
+		want int
+		// msg is a substring of the 422 error; for 200s, gradBeta says
+		// which classes carry grad_beta_mu.
+		msg      string
+		gradBeta []bool
+	}{
+		{
+			name:     "bernoulli default step",
+			body:     `{"n1":8,"n2":8,"units":"route","classes":[{"name":"p","a":1,"alpha":0.01,"mu":1},{"name":"smooth","a":1,"alpha":0.02,"beta":-0.001,"mu":1}],"weights":[1,2],"gradients":true}`,
+			want:     http.StatusOK,
+			gradBeta: []bool{false, false},
+		},
+		{
+			name: "pascal step past beta/mu = 1",
+			body: `{"n1":8,"n2":8,"units":"route","classes":[{"name":"p","a":1,"alpha":0.01,"mu":1},{"name":"peaky","a":1,"alpha":0.01,"beta":0.95,"mu":1}],"weights":[1,2],"gradients":true,"step":0.1}`,
+			want: http.StatusUnprocessableEntity,
+			msg:  "class 1 (peaky)",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/revenue", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
+			}
+			if tc.want != http.StatusOK {
+				if !strings.Contains(string(body), tc.msg) {
+					t.Errorf("error %s does not name %q", body, tc.msg)
+				}
+				return
+			}
+			var rr RevenueResponse
+			if err := json.Unmarshal(body, &rr); err != nil {
+				t.Fatal(err)
+			}
+			if len(rr.Classes) != len(tc.gradBeta) {
+				t.Fatalf("%d classes, want %d", len(rr.Classes), len(tc.gradBeta))
+			}
+			for i, want := range tc.gradBeta {
+				if got := rr.Classes[i].GradBetaMu != nil; got != want {
+					t.Errorf("class %d: grad_beta_mu present %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestAdmissionEndpoint covers both policies.
 func TestAdmissionEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -829,5 +894,37 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	s.writeJSON(rec, http.StatusAccepted, map[string]float64{"blocking": 0.25})
 	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"blocking\":0.25}\n" {
 		t.Errorf("encodable document: status %d body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestCacheKeyGolden pins cacheKey byte for byte: ring placement in a
+// cluster depends on the exact hex format, so a key must never change
+// across releases. It also pins the key's cost: one allocation, the
+// returned string (the key was 4 allocations for one class and 8 for
+// two when built from per-field strings).
+func TestCacheKeyGolden(t *testing.T) {
+	cases := []struct {
+		alg  string
+		sw   core.Switch
+		want string
+	}{
+		{alg1, core.Switch{N1: 16, N2: 16, Classes: []core.Class{{A: 1, Alpha: 0.0024, Mu: 1}}},
+			"alg1|16x16|1:0x1.3a92a30553261p-09:0x0p+00:0x1p+00"},
+		{alg2, core.Switch{N1: 128, N2: 96, Classes: []core.Class{
+			{A: 1, Alpha: 0.0012, Mu: 1},
+			{A: 2, Alpha: 0.0006, Beta: 0.0003, Mu: 0.5},
+		}}, "alg2|128x96|1:0x1.3a92a30553261p-10:0x0p+00:0x1p+00|2:0x1.3a92a30553261p-11:0x1.3a92a30553261p-12:0x1p-01"},
+		{alg1, core.Switch{N1: 1024, N2: 7, Classes: []core.Class{
+			{A: 3, Alpha: 1e-300, Beta: -1e-301, Mu: 1e300},
+			{A: 1, Alpha: 0.1, Mu: 3},
+		}}, "alg1|1024x7|3:0x1.56e1fc2f8f359p-997:-0x1.124e63593f5e1p-1000:0x1.7e43c8800759cp+996|1:0x1.999999999999ap-04:0x0p+00:0x1.8p+01"},
+	}
+	for _, tc := range cases {
+		if got := cacheKey(tc.alg, tc.sw); got != tc.want {
+			t.Errorf("cacheKey = %q, want %q", got, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = cacheKey(tc.alg, tc.sw) }); allocs != 1 {
+			t.Errorf("cacheKey(%s, %dx%d) makes %v allocations, want 1", tc.alg, tc.sw.N1, tc.sw.N2, allocs)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,32 +70,34 @@ func (e *solverEntry) result() *core.Result {
 }
 
 // cacheKey canonicalizes one operating point. Class names are
-// deliberately excluded — they do not enter the numerics — and so is
-// the fill schedule: results are bit-identical across worker counts
-// and tile sizes (core's TestParallelFillBitIdentical), so a result
-// computed under any schedule serves every schedule.
+// deliberately excluded — they do not enter the numerics. The key is
+// built in one buffer (on the stack for keys up to keyStack bytes), so
+// a request pays a single allocation for it, the final string.
 func cacheKey(alg string, sw core.Switch) string {
-	var b strings.Builder
-	b.Grow(32 + 80*len(sw.Classes))
-	b.WriteString(alg)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(sw.N1))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(sw.N2))
+	var stack [keyStack]byte
+	b := append(stack[:0], alg...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(sw.N1), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(sw.N2), 10)
 	for _, cl := range sw.Classes {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(cl.A))
-		b.WriteByte(':')
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(cl.A), 10)
+		b = append(b, ':')
 		// 'x' (hexadecimal) formatting is exact: two keys collide only
 		// for bit-identical parameters.
-		b.WriteString(strconv.FormatFloat(cl.Alpha, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Beta, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Mu, 'x', -1, 64))
+		b = strconv.AppendFloat(b, cl.Alpha, 'x', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, cl.Beta, 'x', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, cl.Mu, 'x', -1, 64)
 	}
-	return b.String()
+	return string(b)
 }
+
+// keyStack is cacheKey's stack buffer size: room for three classes of
+// full-precision hex parameters.
+const keyStack = 256
 
 // maxFreeSolvers bounds each recycling pool: beyond this, evicted
 // lattices are dropped to the GC rather than pinned forever.
@@ -109,7 +110,6 @@ type solverPool struct {
 	mu       sync.Mutex
 	alg1     []*core.SweepSolver
 	alg2     []*core.MVASweepSolver
-	opts     core.Options
 	recycled *atomic.Int64
 }
 
@@ -130,9 +130,9 @@ func (p *solverPool) fill(alg string, sw core.Switch) (*solverEntry, error) {
 	p.mu.Unlock()
 	var err error
 	if e.sweep != nil {
-		err = e.sweep.Reuse(sw, p.opts)
+		err = e.sweep.Reuse(sw)
 	} else {
-		err = e.mva.Reuse(sw, p.opts)
+		err = e.mva.Reuse(sw)
 	}
 	if err != nil {
 		// Reuse validates before touching the lattice, so the solver
