@@ -129,12 +129,18 @@ conformance:
 	$(GO) test ./internal/scenario -run TestCorpusConformance -conformance-report "$(CURDIR)/conformance-report.json"
 	@echo "wrote conformance-report.json"
 
-# Short native fuzzing pass, one budget per target: the scenario-spec
-# round trip (decode -> validate -> evaluate) and the event-queue heap
-# property. Crashers land under the package's testdata/fuzz directory.
+# Short native fuzzing pass, FUZZTIME per target, over every Fuzz*
+# target in the module: `go test -list` discovers them package by
+# package, so a new target runs without an edit here. Crashers land
+# under the package's testdata/fuzz directory.
 fuzz-short:
-	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/eventq -run '^$$' -fuzz FuzzHeapProperty -fuzztime $(FUZZTIME)
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1 } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2 "@" t[i]; n = 0 } /^FAIL/ { bad = 1 } END { exit bad }') || exit 1; \
+	[ -n "$$targets" ] || { echo "fuzz-short: no Fuzz targets found"; exit 1; }; \
+	for tg in $$targets; do \
+		echo "fuzz-short: $${tg%@*} $${tg#*@}"; \
+		$(GO) test $${tg%@*} -run '^$$' -fuzz "^$${tg#*@}$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Regenerates every paper table and figure plus the validation,
 # ablation and extension studies into results/.

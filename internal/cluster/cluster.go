@@ -191,7 +191,7 @@ func (c *Cluster) Forward(ctx context.Context, owner, path string, body []byte) 
 	for attempt := 0; attempt < forwardAttempts; attempt++ {
 		res, err := c.forwardOnce(ctx, p, path, body)
 		if err == nil {
-			pm.observe(c.now().Sub(now))
+			pm.latency.Observe(c.now().Sub(now))
 			return res, nil
 		}
 		lastErr = err
@@ -289,30 +289,14 @@ func (c *Cluster) Snapshot() Snapshot {
 	now := c.now()
 	for id, p := range c.peers {
 		pm := c.metrics.perPeer[id]
-		n := pm.buckets[0].Load() + pm.buckets[1].Load() + pm.buckets[2].Load() +
-			pm.buckets[3].Load() + pm.buckets[4].Load() + pm.buckets[5].Load() + pm.buckets[6].Load()
-		totalMs := float64(pm.totalNs.Load()) / 1e6
-		ps := PeerSnapshot{
+		s.Peers[id] = PeerSnapshot{
 			Addr:        p.baseURL,
 			Healthy:     p.healthy(now),
 			Forwards:    pm.forwards.Load(),
 			Errors:      pm.errors.Load(),
 			SkippedDown: pm.skippedDown.Load(),
-			TotalMs:     totalMs,
-			Latency: ForwardLatencyHistogram{
-				Le100us: pm.buckets[0].Load(),
-				Le1ms:   pm.buckets[1].Load(),
-				Le10ms:  pm.buckets[2].Load(),
-				Le100ms: pm.buckets[3].Load(),
-				Le1s:    pm.buckets[4].Load(),
-				Le10s:   pm.buckets[5].Load(),
-				Over10s: pm.buckets[6].Load(),
-			},
+			Summary:     pm.latency.Snapshot(),
 		}
-		if n > 0 {
-			ps.AvgMs = totalMs / float64(n)
-		}
-		s.Peers[id] = ps
 	}
 	return s
 }

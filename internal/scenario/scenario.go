@@ -208,7 +208,7 @@ func (e *UnknownDisciplineError) Error() string {
 }
 
 // Decode reads one spec from r with the server's strictness: unknown
-// fields rejected, trailing data rejected. Decoding errors are plain
+// fields rejected, anything but white space after the spec rejected. Decoding errors are plain
 // errors (the transport layer's 400); the spec is NOT validated — call
 // Spec.Validate (or let Engine.Evaluate do it).
 func Decode(r io.Reader) (*Spec, error) {
@@ -224,7 +224,7 @@ func Decode(r io.Reader) (*Spec, error) {
 		}
 		return nil, fmt.Errorf("invalid JSON: %v", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("trailing data after JSON body")
 	}
 	return &s, nil

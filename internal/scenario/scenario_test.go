@@ -123,6 +123,14 @@ func TestDecodeStrict(t *testing.T) {
 	if _, err := scenario.Decode(strings.NewReader(`{"discipline": "slotted"} trailing`)); err == nil {
 		t.Error("trailing data accepted")
 	}
+	for _, trailing := range []string{`]`, `}}}junk`, `]]]garbage`, " \n}"} {
+		if _, err := scenario.Decode(strings.NewReader(`{"discipline": "slotted"}` + trailing)); err == nil {
+			t.Errorf("trailing %q accepted", trailing)
+		}
+	}
+	if _, err := scenario.Decode(strings.NewReader(`{"discipline": "slotted"} ` + "\n\t")); err != nil {
+		t.Errorf("trailing white space rejected: %v", err)
+	}
 	if _, err := scenario.Decode(strings.NewReader(`{`)); err == nil {
 		t.Error("truncated JSON accepted")
 	}

@@ -102,20 +102,20 @@ func (s *Server) tryAsymptotic(sw core.Switch, opt *core.DispatchOptions) (*core
 // asymRevenue builds the /v1/revenue reply on the asymptotic tier:
 // revenue.AsymAnalysis in place of the lattice-backed Analysis, O(R)
 // solves per operating point.
-func asymRevenue(req RevenueRequest, sw core.Switch, step float64) (RevenueResponse, error) {
+func asymRevenue(req *RevenueRequest, sw core.Switch, step float64) (any, error) {
 	an, err := revenue.NewAsymptotic(sw, req.Weights)
 	if err != nil {
-		return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)
+		return nil, unprocessable("asymptotic tier: %v", err)
 	}
 	resp := RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Tier: core.TierAsymptotic}
 	for i, c := range sw.Classes {
 		shadow, err := an.ShadowCost(i)
 		if err != nil {
-			return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)
+			return nil, unprocessable("asymptotic tier: %v", err)
 		}
 		grad, err := an.GradientRhoClosed(i)
 		if err != nil {
-			return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)
+			return nil, unprocessable("asymptotic tier: %v", err)
 		}
 		cr := ClassRevenue{
 			Name:          req.Classes[i].Name,
@@ -128,7 +128,7 @@ func asymRevenue(req RevenueRequest, sw core.Switch, step float64) (RevenueRespo
 		if req.Gradients && revenue.HasBetaMuGradient(c, sw) {
 			g, err := an.GradientBetaMu(i, step)
 			if err != nil {
-				return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)
+				return nil, unprocessable("asymptotic tier: %v", err)
 			}
 			cr.GradBetaMu = &g
 		}

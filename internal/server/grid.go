@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net/http"
 
 	"xbar/internal/core"
 	"xbar/internal/grid"
@@ -114,34 +113,26 @@ type gridGroup struct {
 	members []int // request point indices
 }
 
-func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
-	var req GridRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
+func (s *Server) handleGrid(c call, req *GridRequest) (any, error) {
 	alg, err := normalizeAlg(req.Algorithm)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(req.Points) == 0 {
-		return badRequest("no grid points")
+		return nil, badRequest("no grid points")
 	}
 	if len(req.Points) > s.cfg.MaxGridPoints {
-		return badRequest("%d grid points exceed the server limit %d", len(req.Points), s.cfg.MaxGridPoints)
+		return nil, badRequest("%d grid points exceed the server limit %d", len(req.Points), s.cfg.MaxGridPoints)
 	}
 	if req.Weights != nil {
 		if err := checkWeights(req.Weights, len(req.Classes)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
 	opt, err := s.parseDispatch(req.DispatchSpec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Materialize and validate every point, then group by canonical
@@ -152,27 +143,26 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	// a group's fill dimensions (the grid.Engine rule).
 	points := make([]core.Switch, len(req.Points))
 	groups := make(map[string]*gridGroup)
-	var order []string
-	asymCount := 0
+	var order []*gridGroup
 	resp := GridResponse{Points: len(req.Points), Results: make([]GridResult, len(req.Points))}
 	for i, p := range req.Points {
 		spec, err := applyGridPoint(req.SwitchSpec, p)
 		if err != nil {
-			return pointError(fmt.Sprintf("point %d", i), err)
+			return nil, pointError(fmt.Sprintf("point %d", i), err)
 		}
 		sw, err := s.buildSwitchFor(spec, opt)
 		if err != nil {
-			return pointError(fmt.Sprintf("point %d", i), err)
+			return nil, pointError(fmt.Sprintf("point %d", i), err)
 		}
 		points[i] = sw
 		if opt != nil {
 			res, ok, err := s.tryAsymptotic(sw, opt)
 			if err != nil {
-				return pointError(fmt.Sprintf("point %d", i), err)
+				return nil, pointError(fmt.Sprintf("point %d", i), err)
 			}
 			if ok {
 				resp.Results[i] = resultRow(sw.N1, sw.N2, res, req.Weights)
-				asymCount++
+				resp.Asymptotic++
 				continue
 			}
 		}
@@ -181,44 +171,35 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 		if !ok {
 			g = &gridGroup{classes: sw.Classes}
 			groups[ck] = g
-			order = append(order, ck)
+			order = append(order, g)
 		}
 		g.n1 = max(g.n1, sw.N1)
 		g.n2 = max(g.n2, sw.N2)
 		g.members = append(g.members, i)
 	}
 	resp.Models = len(order)
-	resp.Asymptotic = asymCount
 	if len(order) == 0 {
 		resp.Method = "asymptotic"
+		return resp, nil
 	}
-	// Forward the whole request only when every group entry lives on
-	// one peer (maybeForward's all-same-owner rule); mixed ownership
-	// computes locally — correct, just less fleet-wide dedup.
-	keys := make([]string, len(order))
-	for i, ck := range order {
-		g := groups[ck]
-		keys[i] = cacheKey(alg, core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes})
+	// The request is forwarded only when every group entry lives on
+	// one peer; mixed ownership computes locally — correct, just less
+	// fleet-wide dedup.
+	sws := make([]core.Switch, len(order))
+	for k, g := range order {
+		sws[k] = core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
 	}
-	if len(order) > 0 && s.maybeForward(w, r, body, keys...) {
-		return nil
-	}
-	for k, ck := range order {
-		g := groups[ck]
-		groupSw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
-		if err := s.readEntry(r, keys[k], alg, groupSw, func(e *solverEntry, cached bool) error {
-			if cached {
-				resp.Cached++
-			}
-			resp.Method = e.result().Method
-			for _, i := range g.members {
-				resp.Results[i] = exactRow(points[i].N1, points[i].N2, e.resultAt(points[i].N1, points[i].N2), req.Weights, opt)
-			}
-			return nil
-		}); err != nil {
-			return err
+	if ok, err := c.exact(alg, sws, func(k int, e *solverEntry, cached bool) error {
+		if cached {
+			resp.Cached++
 		}
+		resp.Method = e.result().Method
+		for _, i := range order[k].members {
+			resp.Results[i] = exactRow(points[i].N1, points[i].N2, e.resultAt(points[i].N1, points[i].N2), req.Weights, opt)
+		}
+		return nil
+	}); !ok || err != nil {
+		return nil, err
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, nil
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -32,29 +30,35 @@ type SwitchSpec struct {
 	Classes []ClassSpec `json:"classes"`
 }
 
-// apiError carries an HTTP status with a client-facing message.
+// apiError carries an HTTP status with a client-facing message, and
+// optionally the whole response document in place of the standard
+// {"error": msg}.
 type apiError struct {
 	code int
 	msg  string
+	doc  any
 }
 
 func (e *apiError) Error() string { return e.msg }
+
+// document is the error's response body.
+func (e *apiError) document() any {
+	if e.doc != nil {
+		return e.doc
+	}
+	return map[string]string{"error": e.msg}
+}
 
 func badRequest(format string, args ...any) error {
 	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// buildSwitch validates a SwitchSpec against the server limits and the
-// model constraints and converts it to per-route units. Every float
-// is checked finite up front — the solvers' nanguard domain
-// preconditions (finite, validated inputs) are enforced at the edge.
-func (s *Server) buildSwitch(spec SwitchSpec) (core.Switch, error) {
-	return s.buildSwitchFor(spec, nil)
-}
-
-// buildSwitchFor is buildSwitch under a dispatch policy: the
-// dimension cap follows the policy (checkDims), everything else is
-// identical.
+// buildSwitchFor validates a SwitchSpec against the server limits
+// and the model constraints under a dispatch policy (the dimension cap
+// follows the policy, checkDims; nil is the legacy exact path) and
+// converts it to per-route units. Every float is checked finite up
+// front — the solvers' nanguard domain preconditions (finite,
+// validated inputs) are enforced at the edge.
 func (s *Server) buildSwitchFor(spec SwitchSpec, opt *core.DispatchOptions) (core.Switch, error) {
 	if spec.N1 < 1 || spec.N2 < 1 {
 		return core.Switch{}, badRequest("switch dimensions %dx%d, must be >= 1x1", spec.N1, spec.N2)
@@ -132,7 +136,7 @@ type ClassResult struct {
 // copyFloats clones one measure slice out of a solver Result. The
 // sweep layers memoize ResultAt reads, so a Result read off a cached
 // entry shares its slices with the entry's lattice memo; response
-// documents are encoded after readEntry has unlocked and released the
+// documents are encoded after fetch has unlocked and released the
 // entry, so they must carry copies, never views.
 func copyFloats(xs []float64) []float64 {
 	return append([]float64(nil), xs...)
@@ -177,64 +181,44 @@ type BlockingResponse struct {
 	Classes     []ClassResult `json:"classes"`
 }
 
-func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
+// blockingResponse renders one Result as the /v1/blocking reply.
+func blockingResponse(spec SwitchSpec, sw core.Switch, res *core.Result) BlockingResponse {
+	return BlockingResponse{
+		N1: sw.N1, N2: sw.N2,
+		Method:      res.Method,
+		Tier:        res.Tier,
+		LogG:        res.LogG,
+		Utilization: res.Utilization(),
+		Classes:     classResults(spec, res),
 	}
-	var req BlockingRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
+}
+
+func (s *Server) handleBlocking(c call, req *BlockingRequest) (any, error) {
 	alg, err := normalizeAlg(req.Algorithm)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
+	sw, opt, err := s.model(req.SwitchSpec, req.DispatchSpec)
 	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if res, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-		return err
+		return nil, err
 	} else if ok {
-		s.writeJSON(w, http.StatusOK, BlockingResponse{
-			N1: sw.N1, N2: sw.N2,
-			Method:      res.Method,
-			Tier:        res.Tier,
-			LogG:        res.LogG,
-			Utilization: res.Utilization(),
-			Classes:     classResults(req.SwitchSpec, res),
-		})
-		return nil
-	}
-	key := cacheKey(alg, sw)
-	if s.maybeForward(w, r, body, key) {
-		return nil
+		return blockingResponse(req.SwitchSpec, sw, res), nil
 	}
 	var resp BlockingResponse
-	if err := s.readEntry(r, key, alg, sw, func(e *solverEntry, cached bool) error {
-		res := e.result()
-		resp = BlockingResponse{
-			N1: sw.N1, N2: sw.N2,
-			Method:      res.Method,
-			LogG:        res.LogG,
-			Utilization: res.Utilization(),
-			Cached:      cached,
-			Classes:     classResults(req.SwitchSpec, res),
+	if ok, err := c.exact(alg, []core.Switch{sw}, func(_ int, e *solverEntry, cached bool) error {
+		resp = blockingResponse(req.SwitchSpec, sw, e.result())
+		resp.Cached = cached
+		if opt != nil {
+			resp.Tier = core.TierExact
 		}
 		return nil
-	}); err != nil {
-		return err
+	}); !ok || err != nil {
+		return nil, err
 	}
-	if opt != nil {
-		resp.Tier = core.TierExact
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, nil
 }
 
 // RevenueRequest is the POST /v1/revenue body. Weights must carry one
@@ -275,56 +259,38 @@ type RevenueResponse struct {
 	Classes []ClassRevenue `json:"classes"`
 }
 
-func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
+func (s *Server) handleRevenue(c call, req *RevenueRequest) (any, error) {
+	sw, opt, err := s.model(req.SwitchSpec, req.DispatchSpec)
 	if err != nil {
-		return err
-	}
-	var req RevenueRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
-	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
-		return err
+		return nil, err
 	}
 	step := req.Step
 	if floats.Zero(step) {
 		step = 1e-4 // omitted (or numerically zero): the default
 	}
 	if !finite(step) || step <= 0 || step > 0.1 {
-		return badRequest("step %v, want 0 < step <= 0.1", req.Step)
+		return nil, badRequest("step %v, want 0 < step <= 0.1", req.Step)
 	}
 	if _, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-		return err
+		return nil, err
 	} else if ok {
-		resp, err := asymRevenue(req, sw, step)
-		if err != nil {
-			return err
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return nil
-	}
-	key := cacheKey(alg1, sw)
-	if s.maybeForward(w, r, body, key) {
-		return nil
+		return asymRevenue(req, sw, step)
 	}
 	// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
 	// reads and gradient re-solves run on the scaled lattice.
-	var resp RevenueResponse
-	if err := s.readEntry(r, key, alg1, sw, func(e *solverEntry, cached bool) error {
+	resp := RevenueResponse{N1: sw.N1, N2: sw.N2}
+	if opt != nil {
+		resp.Tier = core.TierExact
+	}
+	if ok, err := c.exact(alg1, []core.Switch{sw}, func(_ int, e *solverEntry, cached bool) error {
 		an, err := revenue.NewWithSweep(e.sweep, req.Weights)
 		if err != nil {
 			return badRequest("%v", err)
 		}
-		resp = RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Cached: cached}
+		resp.W, resp.Cached = an.W(), cached
 		for i, c := range sw.Classes {
 			cr := ClassRevenue{
 				Name:          req.Classes[i].Name,
@@ -344,14 +310,10 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 			resp.Classes = append(resp.Classes, cr)
 		}
 		return nil
-	}); err != nil {
-		return err
+	}); !ok || err != nil {
+		return nil, err
 	}
-	if opt != nil {
-		resp.Tier = core.TierExact
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, nil
 }
 
 // AdmissionRequest is the POST /v1/admission body: should a class-r
@@ -388,54 +350,38 @@ type AdmissionResponse struct {
 	Cached     bool     `json:"cached"`
 }
 
-func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
+func (s *Server) handleAdmission(c call, req *AdmissionRequest) (any, error) {
+	sw, opt, err := s.model(req.SwitchSpec, req.DispatchSpec)
 	if err != nil {
-		return err
-	}
-	var req AdmissionRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
-	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if req.Class < 0 || req.Class >= len(sw.Classes) {
-		return badRequest("class %d of %d", req.Class, len(sw.Classes))
+		return nil, badRequest("class %d of %d", req.Class, len(sw.Classes))
 	}
 	switch req.Policy {
 	case "", "profitability":
 		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
-			return err
+			return nil, err
 		}
+		resp := AdmissionResponse{Policy: "profitability", Class: req.Class, Weight: &req.Weights[req.Class]}
 		if _, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-			return err
+			return nil, err
 		} else if ok {
 			an, err := revenue.NewAsymptotic(sw, req.Weights)
 			if err != nil {
-				return unprocessable("asymptotic tier: %v", err)
+				return nil, unprocessable("asymptotic tier: %v", err)
 			}
 			shadow, err := an.ShadowCost(req.Class)
 			if err != nil {
-				return unprocessable("asymptotic tier: %v", err)
+				return nil, unprocessable("asymptotic tier: %v", err)
 			}
-			s.writeJSON(w, http.StatusOK, AdmissionResponse{
-				Accept: req.Weights[req.Class] > shadow, Policy: "profitability", Class: req.Class,
-				Tier: core.TierAsymptotic, Weight: &req.Weights[req.Class], ShadowCost: &shadow,
-			})
-			return nil
+			resp.Accept, resp.Tier, resp.ShadowCost = req.Weights[req.Class] > shadow, core.TierAsymptotic, &shadow
+			return resp, nil
 		}
-		key := cacheKey(alg1, sw)
-		if s.maybeForward(w, r, body, key) {
-			return nil
+		if opt != nil {
+			resp.Tier = core.TierExact
 		}
-		resp := AdmissionResponse{Policy: "profitability", Class: req.Class, Weight: &req.Weights[req.Class]}
-		if err := s.readEntry(r, key, alg1, sw, func(e *solverEntry, cached bool) error {
+		if ok, err := c.exact(alg1, []core.Switch{sw}, func(_ int, e *solverEntry, cached bool) error {
 			an, err := revenue.NewWithSweep(e.sweep, req.Weights)
 			if err != nil {
 				return badRequest("%v", err)
@@ -443,52 +389,45 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 			shadow := an.ShadowCost(req.Class)
 			resp.Accept, resp.ShadowCost, resp.Cached = an.Profitable(req.Class), &shadow, cached
 			return nil
-		}); err != nil {
-			return err
+		}); !ok || err != nil {
+			return nil, err
 		}
-		if opt != nil {
-			resp.Tier = core.TierExact
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return nil
+		return resp, nil
 	case "reservation":
 		if len(req.Limits) != len(sw.Classes) {
-			return badRequest("reservation policy wants %d limits, got %d", len(sw.Classes), len(req.Limits))
+			return nil, badRequest("reservation policy wants %d limits, got %d", len(sw.Classes), len(req.Limits))
 		}
 		state := req.State
 		if state == nil {
 			state = make([]int, len(sw.Classes))
 		}
 		if len(state) != len(sw.Classes) {
-			return badRequest("state wants %d per-class counts, got %d", len(sw.Classes), len(state))
+			return nil, badRequest("state wants %d per-class counts, got %d", len(sw.Classes), len(state))
 		}
 		// Bounding every count by what the switch can hold keeps the
 		// occupancy sum below MaxClasses * MaxDim, far from overflow.
 		for i, k := range state {
 			if k < 0 {
-				return badRequest("state[%d] = %d is negative", i, k)
+				return nil, badRequest("state[%d] = %d is negative", i, k)
 			}
 			if most := sw.MinN() / sw.Classes[i].A; k > most {
-				return badRequest("state[%d] = %d exceeds the %d class-%d connections the switch holds", i, k, most, i)
+				return nil, badRequest("state[%d] = %d exceeds the %d class-%d connections the switch holds", i, k, most, i)
 			}
 		}
 		occ := sw.OccupancyOf(state)
 		if occ > sw.MinN() {
-			return badRequest("state occupies %d of %d ports", occ, sw.MinN())
+			return nil, badRequest("state occupies %d of %d ports", occ, sw.MinN())
 		}
 		policy, err := admission.TrunkReservation(sw, req.Limits)
 		if err != nil {
-			return badRequest("%v", err)
+			return nil, badRequest("%v", err)
 		}
 		// The policy admits within the reservation limit; port
 		// contention still rejects when the switch itself is full.
 		accept := policy(state, req.Class) && occ+sw.Classes[req.Class].A <= sw.MinN()
-		s.writeJSON(w, http.StatusOK, AdmissionResponse{
-			Accept: accept, Policy: "reservation", Class: req.Class, Occupancy: &occ,
-		})
-		return nil
+		return AdmissionResponse{Accept: accept, Policy: "reservation", Class: req.Class, Occupancy: &occ}, nil
 	}
-	return badRequest("policy %q, want profitability or reservation", req.Policy)
+	return nil, badRequest("policy %q, want profitability or reservation", req.Policy)
 }
 
 // SweepPoint selects one sub-switch of a sweep.
@@ -537,26 +476,14 @@ type SweepResponse struct {
 	Results []SweepResult `json:"results"`
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
-	var req SweepRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
+func (s *Server) handleSweep(c call, req *SweepRequest) (any, error) {
 	alg, err := normalizeAlg(req.Algorithm)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
+	sw, opt, err := s.model(req.SwitchSpec, req.DispatchSpec)
 	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	// The default point list is every sub-size 1..MinN; the cap is
 	// checked before it is allocated.
@@ -565,7 +492,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		n = sw.MinN()
 	}
 	if n > s.cfg.MaxSweepPoints {
-		return badRequest("%d sweep points exceed the server limit %d", n, s.cfg.MaxSweepPoints)
+		return nil, badRequest("%d sweep points exceed the server limit %d", n, s.cfg.MaxSweepPoints)
 	}
 	points := req.Points
 	if len(points) == 0 {
@@ -576,12 +503,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	}
 	for _, p := range points {
 		if p.N1 < 1 || p.N2 < 1 || p.N1 > sw.N1 || p.N2 > sw.N2 {
-			return badRequest("sweep point %dx%d outside the %dx%d lattice", p.N1, p.N2, sw.N1, sw.N2)
+			return nil, badRequest("sweep point %dx%d outside the %dx%d lattice", p.N1, p.N2, sw.N1, sw.N2)
 		}
 	}
 	if req.Weights != nil {
 		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Dispatch is decided per point: points the expansion answers
@@ -598,7 +525,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			sub := core.Switch{N1: p.N1, N2: p.N2, Classes: sw.Classes}
 			res, ok, err := s.tryAsymptotic(sub, opt)
 			if err != nil {
-				return pointError(fmt.Sprintf("sweep point %dx%d", p.N1, p.N2), err)
+				return nil, pointError(fmt.Sprintf("sweep point %dx%d", p.N1, p.N2), err)
 			}
 			if ok {
 				asym[i] = true
@@ -610,16 +537,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		if emax1 == 0 {
 			// Every point went asymptotic: no lattice, no cache entry.
 			resp.Method = "asymptotic"
-			s.writeJSON(w, http.StatusOK, resp)
-			return nil
+			return resp, nil
 		}
 		entrySw = core.Switch{N1: emax1, N2: emax2, Classes: sw.Classes}
 	}
-	key := cacheKey(alg, entrySw)
-	if s.maybeForward(w, r, body, key) {
-		return nil
-	}
-	if err := s.readEntry(r, key, alg, entrySw, func(e *solverEntry, cached bool) error {
+	if ok, err := c.exact(alg, []core.Switch{entrySw}, func(_ int, e *solverEntry, cached bool) error {
 		resp.Method, resp.Cached = e.result().Method, cached
 		for i, p := range points {
 			if asym == nil || !asym[i] {
@@ -627,11 +549,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			}
 		}
 		return nil
-	}); err != nil {
-		return err
+	}); !ok || err != nil {
+		return nil, err
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, nil
 }
 
 // checkWeights validates a request's revenue weights: one finite
@@ -681,57 +602,10 @@ func resultRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 	return sr
 }
 
-// readEntry is the one way a handler reaches the solver cache. It
-// resolves the entry for the operating point, filling its lattice on
-// a miss, then runs read under the entry lock and finally unlocks and
-// releases the entry. The entry never escapes read: whatever the
-// response keeps is copied out of it (copyFloats), and encoding runs
-// after readEntry returns, with the lock dropped.
-//
-// Only the fill takes a solve slot: the semaphore bounds concurrent
-// lattice fills (the CPU-heavy part), while hits and requests sharing
-// another's fill pass straight through, and entry reads are
-// serialized per entry by the entry lock.
-func (s *Server) readEntry(r *http.Request, key, alg string, sw core.Switch, read func(e *solverEntry, cached bool) error) error {
-	h, cached, err := s.cache.get(r.Context(), key, func() (*solverEntry, error) {
-		release, err := s.acquire(r.Context())
-		if err != nil {
-			return nil, overloaded(err)
-		}
-		defer release()
-		return s.solvers.fill(alg, sw)
-	})
-	if err != nil {
-		var api *apiError
-		if errors.As(err, &api) || errors.Is(err, errFillPanicked) {
-			return err // errFillPanicked renders as a 500
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return overloaded(err)
-		}
-		return &apiError{code: http.StatusUnprocessableEntity, msg: err.Error()}
-	}
-	defer s.cache.release(h)
-	e := h.v
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	defer e.unlock()
-	return read(e, cached)
+func (s *Server) handleHealthz(call) (any, error) {
+	return map[string]string{"status": "ok"}, nil
 }
 
-// overloaded maps context expiry (semaphore or entry-lock wait) onto
-// 503 so load balancers retry elsewhere.
-func overloaded(err error) error {
-	return &apiError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("overloaded: %v", err)}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	return nil
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
-	s.writeJSON(w, http.StatusOK, s.metricsSnapshot())
-	return nil
+func (s *Server) handleMetrics(call) (any, error) {
+	return s.metricsSnapshot(), nil
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -50,17 +48,16 @@ type scenarioErrorDoc struct {
 // HTTP contract: malformed specs are 400 (with indexed field errors in
 // the body), well-formed but oversized specs are 413, and unknown
 // disciplines or semantically unevaluable scenarios are 422. Anything
-// else propagates as a 500. A nil return means the response has been
-// written.
-func (s *Server) scenarioError(w http.ResponseWriter, err error) error {
+// else propagates as a 500.
+func scenarioError(err error) error {
 	var inv *scenario.InvalidError
 	var le *scenario.LimitError
 	var ud *scenario.UnknownDisciplineError
 	var ee *scenario.EvalError
 	switch {
 	case errors.As(err, &inv):
-		s.writeJSON(w, http.StatusBadRequest, scenarioErrorDoc{Error: inv.Error(), Fields: inv.Fields})
-		return nil
+		return &apiError{code: http.StatusBadRequest, msg: inv.Error(),
+			doc: scenarioErrorDoc{Error: inv.Error(), Fields: inv.Fields}}
 	case errors.As(err, &le):
 		return &apiError{code: http.StatusRequestEntityTooLarge, msg: le.Error()}
 	case errors.As(err, &ud):
@@ -71,49 +68,35 @@ func (s *Server) scenarioError(w http.ResponseWriter, err error) error {
 	return err
 }
 
-func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
-	spec, err := scenario.Decode(bytes.NewReader(body))
-	if err != nil {
-		return badRequest("invalid JSON: %v", err)
-	}
+func (s *Server) handleScenario(c call, spec *scenario.Spec) (any, error) {
 	if err := spec.Validate(s.cfg.scenarioLimits()); err != nil {
-		return s.scenarioError(w, err)
+		return nil, scenarioError(err)
 	}
-	if s.maybeForward(w, r, body, spec.Key()) {
-		return nil
-	}
-
 	// The cache stores one full measure set per canonical key (the key
 	// excludes the measure filter), so requests differing only in their
 	// filter share an entry; the filter applies on the way out.
-	h, cached, err := s.scCache.get(r.Context(), spec.Key(), func() (*scenario.Result, error) {
-		release, err := s.acquire(r.Context())
-		if err != nil {
-			return nil, overloaded(err)
-		}
-		defer release()
-		fullSpec := *spec
-		fullSpec.Measures = nil
-		return s.scenario.Evaluate(&fullSpec)
-	})
-	if err != nil {
-		var api *apiError
-		if errors.As(err, &api) {
-			return err
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return overloaded(err)
-		}
-		return s.scenarioError(w, err)
+	var resp ScenarioResponse
+	if ok, err := through(c, s.scCache, []string{spec.Key()},
+		func(int) (*scenario.Result, error) {
+			fullSpec := *spec
+			fullSpec.Measures = nil
+			return s.scenario.Evaluate(&fullSpec)
+		},
+		func(_ int, full *scenario.Result, cached bool) error {
+			resp = ScenarioResponse{Discipline: full.Discipline, Cached: cached, Measures: []ScenarioMeasure{}}
+			return resp.filter(full, spec.Measures)
+		},
+		scenarioError); !ok || err != nil {
+		return nil, err
 	}
-	defer s.scCache.release(h)
-	full := h.v
+	return resp, nil
+}
 
-	resp := ScenarioResponse{Discipline: full.Discipline, Cached: cached, Measures: []ScenarioMeasure{}}
+// filter adds the requested measures of full to the reply, in the
+// filter's order (every measure, in the discipline's order, when the
+// filter is empty). Names the discipline does not have are an indexed
+// 400.
+func (resp *ScenarioResponse) filter(full *scenario.Result, names []string) error {
 	add := func(m scenario.Measure) {
 		if !finite(m.Value) || !finite(m.HalfWidth) {
 			resp.Omitted = append(resp.Omitted, m.Name)
@@ -121,28 +104,27 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
 		}
 		resp.Measures = append(resp.Measures, ScenarioMeasure{Name: m.Name, Value: m.Value, HalfWidth: m.HalfWidth})
 	}
-	if len(spec.Measures) == 0 {
+	if len(names) == 0 {
 		for _, m := range full.Measures {
 			add(m)
 		}
-	} else {
-		var fields []scenario.FieldError
-		for i, name := range spec.Measures {
-			m, ok := full.Measure(name)
-			if !ok {
-				fields = append(fields, scenario.FieldError{
-					Field: fmt.Sprintf("measures[%d]", i),
-					Msg:   fmt.Sprintf("discipline %q has no measure %q", full.Discipline, name),
-				})
-				continue
-			}
-			add(m)
-		}
-		if len(fields) > 0 {
-			s.writeJSON(w, http.StatusBadRequest, scenarioErrorDoc{Error: "unknown measures", Fields: fields})
-			return nil
-		}
+		return nil
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	var fields []scenario.FieldError
+	for i, name := range names {
+		m, ok := full.Measure(name)
+		if !ok {
+			fields = append(fields, scenario.FieldError{
+				Field: fmt.Sprintf("measures[%d]", i),
+				Msg:   fmt.Sprintf("discipline %q has no measure %q", full.Discipline, name),
+			})
+			continue
+		}
+		add(m)
+	}
+	if len(fields) > 0 {
+		return &apiError{code: http.StatusBadRequest, msg: "unknown measures",
+			doc: scenarioErrorDoc{Error: "unknown measures", Fields: fields}}
+	}
 	return nil
 }

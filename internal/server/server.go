@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,13 +51,6 @@ type Server struct {
 	debugLn  net.Listener
 }
 
-// endpointNames are the instrumented endpoints, as they appear in the
-// metrics document.
-var endpointNames = []string{
-	"/v1/blocking", "/v1/revenue", "/v1/admission", "/v1/sweep", "/v1/grid", "/v1/scenario", "/v1/cluster",
-	"/healthz", "/readyz", "/metrics",
-}
-
 // New builds a Server from cfg (zero fields take their documented
 // defaults).
 func New(cfg Config) (*Server, error) {
@@ -64,7 +58,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := newMetrics(endpointNames...)
+	m := &Metrics{endpoints: make(map[string]*endpointMetrics)}
 	solvers := &solverPool{recycled: &m.solversRecycled}
 	s := &Server{
 		cfg:     cfg,
@@ -91,16 +85,25 @@ func New(cfg Config) (*Server, error) {
 		s.cluster = cl
 	}
 	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/blocking", s.instrument("/v1/blocking", s.handleBlocking))
-	s.mux.Handle("POST /v1/revenue", s.instrument("/v1/revenue", s.handleRevenue))
-	s.mux.Handle("POST /v1/admission", s.instrument("/v1/admission", s.handleAdmission))
-	s.mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.Handle("POST /v1/grid", s.instrument("/v1/grid", s.handleGrid))
-	s.mux.Handle("POST /v1/scenario", s.instrument("/v1/scenario", s.handleScenario))
-	s.mux.Handle("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
-	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.Handle("GET /readyz", s.instrument("/readyz", s.handleReadyz))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	for _, rt := range []struct {
+		pattern string
+		h       endpoint
+	}{
+		{"POST /v1/blocking", post(strict[BlockingRequest], s.handleBlocking)},
+		{"POST /v1/revenue", post(strict[RevenueRequest], s.handleRevenue)},
+		{"POST /v1/admission", post(strict[AdmissionRequest], s.handleAdmission)},
+		{"POST /v1/sweep", post(strict[SweepRequest], s.handleSweep)},
+		{"POST /v1/grid", post(strict[GridRequest], s.handleGrid)},
+		{"POST /v1/scenario", post(decodeScenario, s.handleScenario)},
+		{"GET /v1/cluster", s.handleCluster},
+		{"GET /healthz", s.handleHealthz},
+		{"GET /readyz", s.handleReadyz},
+		{"GET /metrics", s.handleMetrics},
+	} {
+		_, path, _ := strings.Cut(rt.pattern, " ")
+		m.endpoints[path] = new(endpointMetrics)
+		s.mux.Handle(rt.pattern, s.instrument(path, s.serve(rt.h)))
+	}
 
 	s.debugMux = http.NewServeMux()
 	s.debugMux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -108,7 +111,7 @@ func New(cfg Config) (*Server, error) {
 	s.debugMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.debugMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.debugMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.debugMux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	s.debugMux.Handle("GET /metrics", s.instrument("/metrics", s.serve(s.handleMetrics)))
 	// Ring membership (when any) is initialized above; the node is ready
 	// to take traffic as soon as a listener exists.
 	s.ready.Store(true)
@@ -148,9 +151,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// handlerFunc is an endpoint handler returning its failure as an
-// error; instrument turns *apiError into the client-facing JSON error
-// and anything else (including a panic) into a 500.
+// handlerFunc is a handler returning its failure as an error (serve
+// adapts an endpoint to it); instrument turns *apiError into the
+// client-facing JSON error and anything else (including a panic) into
+// a 500.
 type handlerFunc func(http.ResponseWriter, *http.Request) error
 
 // instrument wraps an endpoint with the per-request machinery:
@@ -183,7 +187,7 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 		if err := h(sw, r.WithContext(ctx)); err != nil {
 			var api *apiError
 			if errors.As(err, &api) {
-				s.writeError(sw, api.code, api.msg)
+				s.writeJSON(sw, api.code, api.document())
 				return
 			}
 			s.cfg.logf("error serving %s: %v", name, err)

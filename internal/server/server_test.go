@@ -559,6 +559,31 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// validationCases are TestValidationErrors' rejected bodies (under
+// MaxDim 64 and MaxSweepPoints 3); FuzzEndpoints seeds from them.
+var validationCases = []struct {
+	name, path, body string
+	want             int
+}{
+	{"bad json", "/v1/blocking", "{", http.StatusBadRequest},
+	{"unknown field", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}],"bogus":1}`, http.StatusBadRequest},
+	{"trailing data", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]} {"extra":1}`, http.StatusBadRequest},
+	{"trailing brackets", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.5,"mu":1}]}]]]garbage`, http.StatusBadRequest},
+	{"trailing brace", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.5,"mu":1}]}}`, http.StatusBadRequest},
+	{"scenario trailing braces", "/v1/scenario", `{"discipline":"slotted","topology":{"n1":8,"n2":8},"params":{"load":0.5}}}}}junk`, http.StatusBadRequest},
+	{"scenario trailing bracket", "/v1/scenario", `{"discipline":"slotted","topology":{"n1":8,"n2":8},"params":{"load":0.5}}]`, http.StatusBadRequest},
+	{"nan alpha", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":"NaN","mu":1}]}`, http.StatusBadRequest},
+	{"zero dims", "/v1/blocking", `{"n1":0,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
+	{"dim above cap", "/v1/blocking", `{"n1":65,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
+	{"no classes", "/v1/blocking", `{"n1":4,"n2":4,"classes":[]}`, http.StatusBadRequest},
+	{"bad units", "/v1/blocking", `{"n1":4,"n2":4,"units":"furlongs","classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
+	{"bad algorithm", "/v1/blocking", `{"n1":4,"n2":4,"algorithm":"alg3","classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
+	{"zero mu", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":0}]}`, http.StatusUnprocessableEntity},
+	{"pascal divergence", "/v1/blocking", `{"n1":4,"n2":4,"units":"route","classes":[{"a":1,"alpha":0.1,"beta":2,"mu":1}]}`, http.StatusUnprocessableEntity},
+	{"sweep points above cap", "/v1/sweep", `{"n1":8,"n2":8,"classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
+	{"default sweep points far above cap", "/v1/sweep", `{"n1":1000000,"n2":1000000,"units":"route","dispatch":"asymptotic","classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
+}
+
 // TestValidationErrors sweeps the malformed-input matrix.
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxDim: 64, MaxBodyBytes: 512, MaxSweepPoints: 3})
@@ -574,25 +599,7 @@ func TestValidationErrors(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
-	cases := []struct {
-		name, path, body string
-		want             int
-	}{
-		{"bad json", "/v1/blocking", "{", http.StatusBadRequest},
-		{"unknown field", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}],"bogus":1}`, http.StatusBadRequest},
-		{"trailing data", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]} {"extra":1}`, http.StatusBadRequest},
-		{"nan alpha", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":"NaN","mu":1}]}`, http.StatusBadRequest},
-		{"zero dims", "/v1/blocking", `{"n1":0,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
-		{"dim above cap", "/v1/blocking", `{"n1":65,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
-		{"no classes", "/v1/blocking", `{"n1":4,"n2":4,"classes":[]}`, http.StatusBadRequest},
-		{"bad units", "/v1/blocking", `{"n1":4,"n2":4,"units":"furlongs","classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
-		{"bad algorithm", "/v1/blocking", `{"n1":4,"n2":4,"algorithm":"alg3","classes":[{"a":1,"alpha":0.1,"mu":1}]}`, http.StatusBadRequest},
-		{"zero mu", "/v1/blocking", `{"n1":4,"n2":4,"classes":[{"a":1,"alpha":0.1,"mu":0}]}`, http.StatusUnprocessableEntity},
-		{"pascal divergence", "/v1/blocking", `{"n1":4,"n2":4,"units":"route","classes":[{"a":1,"alpha":0.1,"beta":2,"mu":1}]}`, http.StatusUnprocessableEntity},
-		{"sweep points above cap", "/v1/sweep", `{"n1":8,"n2":8,"classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
-		{"default sweep points far above cap", "/v1/sweep", `{"n1":1000000,"n2":1000000,"units":"route","dispatch":"asymptotic","classes":[{"a":1,"alpha":0.001,"mu":1}]}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		got := post(tc.path, tc.body)
