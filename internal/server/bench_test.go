@@ -1,6 +1,11 @@
 package server
 
-import "testing"
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
 
 // BenchmarkForwardedVsLocalHit prices the forwarding hop: the same
 // warm cache hit served locally by the key's owner versus proxied to
@@ -72,4 +77,33 @@ func BenchmarkClusterAggregateHitRate(b *testing.B) {
 		b.Fatalf("fleet misses = %d, want <= %d (one fill per distinct key)", misses, len(specs))
 	}
 	b.ReportMetric(float64(hits)/float64(hits+misses), "hitrate")
+}
+
+// BenchmarkWarmHit serves a warm request per endpoint through the
+// handler in process (httptest request and recorder included), the
+// unit for A/B-ing the request path without a network.
+func BenchmarkWarmHit(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, hb := range hotBodies {
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, hb.path, strings.NewReader(hb.body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", hb.path, rec.Code, rec.Body.Bytes())
+			}
+		}
+		b.Run(strings.TrimPrefix(hb.path, "/v1/"), func(b *testing.B) {
+			serve()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -61,7 +60,7 @@ func (s *Server) serve(h endpoint) handlerFunc {
 func post[Req any](decode func([]byte) (*Req, error), h func(call, *Req) (any, error)) endpoint {
 	return func(c call) (any, error) {
 		c.r.Body = http.MaxBytesReader(c.w, c.r.Body, c.s.cfg.MaxBodyBytes)
-		body, err := io.ReadAll(c.r.Body)
+		body, err := readBody(c.r.Body, c.r.ContentLength, c.s.cfg.MaxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -79,20 +78,29 @@ func post[Req any](decode func([]byte) (*Req, error), h func(call, *Req) (any, e
 	}
 }
 
-// strict decodes a /v1 solve request with the server's strictness:
-// unknown fields are rejected, and so is anything but white space
-// after the JSON value.
-func strict[Req any](data []byte) (*Req, error) {
-	req := new(Req)
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return nil, badRequest("invalid JSON: %v", err)
+// readBody reads a request body whole. A declared Content-Length within
+// the cap sizes the buffer once, so a body at the cap costs one
+// allocation of its size, where io.ReadAll's growth series would cost
+// five.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 && declared <= limit {
+		size = declared + 1 // room for the read that reports io.EOF
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, badRequest("trailing data after JSON body")
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
-	return req, nil
 }
 
 // decodeScenario decodes a /v1/scenario spec (scenario.Decode's

@@ -85,15 +85,16 @@ func New(cfg Config) (*Server, error) {
 		s.cluster = cl
 	}
 	s.mux = http.NewServeMux()
+	lim := wireLimits{classes: cfg.MaxClasses, sweepPoints: cfg.MaxSweepPoints, gridPoints: cfg.MaxGridPoints}
 	for _, rt := range []struct {
 		pattern string
 		h       endpoint
 	}{
-		{"POST /v1/blocking", post(strict[BlockingRequest], s.handleBlocking)},
-		{"POST /v1/revenue", post(strict[RevenueRequest], s.handleRevenue)},
-		{"POST /v1/admission", post(strict[AdmissionRequest], s.handleAdmission)},
-		{"POST /v1/sweep", post(strict[SweepRequest], s.handleSweep)},
-		{"POST /v1/grid", post(strict[GridRequest], s.handleGrid)},
+		{"POST /v1/blocking", post(strict(blockingWire, lim), s.handleBlocking)},
+		{"POST /v1/revenue", post(strict(revenueWire, lim), s.handleRevenue)},
+		{"POST /v1/admission", post(strict(admissionWire, lim), s.handleAdmission)},
+		{"POST /v1/sweep", post(strict(sweepWire, lim), s.handleSweep)},
+		{"POST /v1/grid", post(strict(gridWire, lim), s.handleGrid)},
 		{"POST /v1/scenario", post(decodeScenario, s.handleScenario)},
 		{"GET /v1/cluster", s.handleCluster},
 		{"GET /healthz", s.handleHealthz},
@@ -204,11 +205,13 @@ var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // "internal error", spelled out so the fallback cannot fail in turn.
 const internalErrorBody = `{"error":"internal error"}` + "\n"
 
-// writeJSON renders one response document. The document is encoded in
-// full before the status goes out, so a value JSON cannot carry (a NaN
-// or an infinity) turns into a 500 with an error document, which the
-// endpoint's error counter sees, instead of a 2xx with a truncated
-// body. A failed write usually means the client hung up; it is
+// writeJSON renders one response document: a solve response through
+// its append encoder (appendResponse), anything else and anything
+// outside the encoder's subset through encoding/json. The document is
+// encoded in full before the status goes out, so a value JSON cannot
+// carry (a NaN or an infinity) turns into a 500 with an error
+// document, which the endpoint's error counter sees, instead of a 2xx
+// with a truncated body. A failed write usually means the client hung up; it is
 // counted, not propagated.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := encodeBufs.Get().(*bytes.Buffer)
@@ -216,7 +219,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		buf.Reset()
 		encodeBufs.Put(buf)
 	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if b, ok := appendResponse(buf.AvailableBuffer(), v); ok {
+		buf.Write(b)
+	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
 		s.cfg.logf("encode %T response: %v", v, err)
 		code = http.StatusInternalServerError
 		buf.Reset()

@@ -85,14 +85,25 @@ func cacheKey(alg string, sw core.Switch) string {
 		b = strconv.AppendInt(b, int64(cl.A), 10)
 		b = append(b, ':')
 		// 'x' (hexadecimal) formatting is exact: two keys collide only
-		// for bit-identical parameters.
-		b = strconv.AppendFloat(b, cl.Alpha, 'x', -1, 64)
+		// for bit-identical parameters, or for 0 and -0. Those are one
+		// parameter to every solver, and json.Marshal drops a -0 beta
+		// as omitempty, so a key that told them apart would not
+		// survive a JSON round trip.
+		b = strconv.AppendFloat(b, unsigned(cl.Alpha), 'x', -1, 64)
 		b = append(b, ':')
-		b = strconv.AppendFloat(b, cl.Beta, 'x', -1, 64)
+		b = strconv.AppendFloat(b, unsigned(cl.Beta), 'x', -1, 64)
 		b = append(b, ':')
-		b = strconv.AppendFloat(b, cl.Mu, 'x', -1, 64)
+		b = strconv.AppendFloat(b, unsigned(cl.Mu), 'x', -1, 64)
 	}
 	return string(b)
+}
+
+// unsigned maps -0 onto 0 and leaves every other value alone.
+func unsigned(x float64) float64 {
+	if zero(x) {
+		return 0
+	}
+	return x
 }
 
 // keyStack is cacheKey's stack buffer size: room for three classes of
