@@ -32,7 +32,7 @@ help:
 	@echo "  serve        run the xbard HTTP daemon (API :8480, pprof 127.0.0.1:8481)"
 	@echo "  smoke        xbard end-to-end smoke test (scripts/smoke.sh; CI's smoke job)"
 	@echo "  cluster-smoke 3-node sharded-cluster smoke test: forwarding, single fleet"
-	@echo "               fill, owner-kill failover (scripts/cluster-smoke.sh; CI job)"
+	@echo "               fill, owner-kill failover, owner restart (scripts/cluster-smoke.sh; CI job)"
 	@echo "  sim-validate farm-vs-analytic 3-sigma sweep (scripts/simvalidate.sh; CI's sim-validate job)"
 	@echo "  conformance  scenario corpus through scenario.Evaluate, bit-identical to the"
 	@echo "               legacy entry points; writes conformance-report.json (CI job)"
@@ -107,9 +107,10 @@ smoke:
 
 # 3-node cluster smoke test: consistent-hash forwarding serves every
 # node's request from the key's owner with exactly one fleet-wide
-# lattice fill, killing the owner degrades to local compute, and the
+# lattice fill, killing the owner degrades to local compute, the
 # /v1/cluster rollup lands in cluster-rollup.json (docs/CLUSTER.md;
-# CI's cluster-smoke job uploads it as an artifact).
+# CI's cluster-smoke job uploads it as an artifact), and a restarted
+# owner serves its keys again.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 

@@ -18,12 +18,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -47,6 +45,14 @@ const (
 	forwardTimeout  = 10 * time.Second
 )
 
+// The statuses the client tells apart: FetchJSON accepts statusOK
+// only, and a forward answered statusServerError or above falls over
+// to local compute.
+const (
+	statusOK          = 200
+	statusServerError = 500
+)
+
 // ErrPeerDown reports a forward skipped because the target peer is
 // inside its reconnect backoff window.
 var ErrPeerDown = errors.New("cluster: peer down (backoff gate)")
@@ -56,7 +62,10 @@ type Config struct {
 	// NodeID is this node's member id; it must be a key of Peers.
 	NodeID string
 	// Peers maps every cluster member's id — including this node's —
-	// to its API base URL ("http://host:port"). Len >= 1.
+	// to its API base URL ("http://host:port", optionally with a path
+	// prefix). Len >= 1. An id is printable ASCII without spaces
+	// (0x21–0x7E); a peer URL has a host and no userinfo, query or
+	// fragment: both go on the wire verbatim.
 	Peers map[string]string
 	// VNodes is the virtual nodes per member on the hash ring.
 	// Zero means 64.
@@ -74,8 +83,16 @@ func (c Config) validate() error {
 		if id == "" {
 			return fmt.Errorf("cluster: empty peer id")
 		}
-		if id != c.NodeID && !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-			return fmt.Errorf("cluster: peer %q url %q must start with http:// or https://", id, u)
+		for i := 0; i < len(id); i++ {
+			if id[i] < 0x21 || id[i] > 0x7e {
+				return fmt.Errorf("cluster: peer id %q must be printable ASCII without spaces", id)
+			}
+		}
+		if id == c.NodeID {
+			continue
+		}
+		if _, err := parsePeerURL(u); err != nil {
+			return fmt.Errorf("cluster: peer %q: %v", id, err)
 		}
 	}
 	if c.VNodes < 1 {
@@ -84,15 +101,33 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Cluster is one node's view of the fleet: the ring and the peer
-// pool. Construct with New, release with Close.
+// parsePeerURL parses a peer base URL: http:// or https://, a host,
+// and nothing that cannot go on the wire verbatim — no userinfo,
+// query or fragment.
+func parsePeerURL(raw string) (*url.URL, error) {
+	if !strings.HasPrefix(raw, "http://") && !strings.HasPrefix(raw, "https://") {
+		return nil, fmt.Errorf("url %q must start with http:// or https://", raw)
+	}
+	u, err := url.Parse(raw)
+	switch {
+	case err != nil:
+		return nil, err
+	case u.Host == "":
+		return nil, fmt.Errorf("url %q has no host", raw)
+	case u.User != nil, strings.ContainsAny(raw, "?#"):
+		return nil, fmt.Errorf("url %q must not carry userinfo, a query or a fragment", raw)
+	}
+	return u, nil
+}
+
+// Cluster is one node's view of the fleet: the ring and the peers.
+// Construct with New, release with Close.
 type Cluster struct {
-	cfg       Config
-	ring      *Ring
-	peers     map[string]*Peer // every member except self
-	transport *http.Transport  // shared by every peer's client
-	metrics   *Metrics
-	now       func() time.Time
+	cfg     Config
+	ring    *Ring
+	peers   map[string]*Peer // every member except self
+	metrics *Metrics
+	now     func() time.Time
 }
 
 // New builds the node's cluster view. The membership is static: the
@@ -109,21 +144,17 @@ func New(cfg Config) (*Cluster, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	transport := newTransport()
-	client := &http.Client{Transport: transport}
 	c := &Cluster{
-		cfg:       cfg,
-		ring:      NewRing(ids, cfg.VNodes),
-		peers:     make(map[string]*Peer, len(ids)-1),
-		transport: transport,
-		metrics:   newClusterMetrics(peerIDsExcept(ids, cfg.NodeID)),
-		now:       time.Now, //lint:allow detrand wall-clock backoff gates; the analytical engine stays clock-free
+		cfg:     cfg,
+		ring:    NewRing(ids, cfg.VNodes),
+		peers:   make(map[string]*Peer, len(ids)-1),
+		metrics: newClusterMetrics(peerIDsExcept(ids, cfg.NodeID)),
+		now:     time.Now, //lint:allow detrand wall-clock backoff gates and deadlines; the analytical engine stays clock-free
 	}
 	for _, id := range ids {
-		if id == cfg.NodeID {
-			continue
+		if id != cfg.NodeID {
+			c.peers[id] = newPeer(id, cfg.Peers[id])
 		}
-		c.peers[id] = &Peer{id: id, baseURL: strings.TrimRight(cfg.Peers[id], "/"), client: client}
 	}
 	return c, nil
 }
@@ -138,11 +169,14 @@ func peerIDsExcept(ids []string, self string) []string {
 	return out
 }
 
-// Close releases the connection pool's idle conns (a pooled-but-unused
-// conn would otherwise hold a peer's graceful drain open for several
-// seconds). Forwarding stays usable (it is stateless per call).
+// Close closes every idle pooled connection (a pooled-but-unused conn
+// would otherwise hold a peer's graceful drain open for several
+// seconds). Forwarding stays usable, but no connection is pooled
+// afterwards.
 func (c *Cluster) Close() {
-	c.transport.CloseIdleConnections()
+	for _, p := range c.peers {
+		p.closeIdle()
+	}
 }
 
 // NodeID returns this node's member id.
@@ -206,39 +240,40 @@ func (c *Cluster) Forward(ctx context.Context, owner, path string, body []byte) 
 
 // forwardOnce runs one proxy attempt with its own timeout.
 func (c *Cluster) forwardOnce(ctx context.Context, p *Peer, path string, body []byte) (*ForwardResult, error) {
-	actx, cancel := context.WithTimeout(ctx, forwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, p.baseURL+path, bytes.NewReader(body))
+	res, err := c.exchange(ctx, p, request{method: "POST", path: path, from: c.cfg.NodeID, body: body})
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderForwarded, c.cfg.NodeID)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.reportFailure(c.now())
-		return nil, err
-	}
-	defer resp.Body.Close() //lint:allow errcheck drain-side close; a close failure cannot affect the already-read body
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		p.reportFailure(c.now())
-		return nil, err
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
+	if res.status >= statusServerError {
 		// The peer answered but cannot serve (500, 503 drain/overload):
 		// local compute is the better fallback. The exchange itself
 		// succeeded, so the connection-level health state resets.
-		p.reportSuccess()
-		return nil, fmt.Errorf("cluster: peer %s answered %d", p.id, resp.StatusCode)
+		return nil, fmt.Errorf("cluster: peer %s answered %d", p.id, res.status)
+	}
+	return &ForwardResult{
+		Status:      res.status,
+		ContentType: res.contentType,
+		ServedBy:    res.servedBy,
+		Body:        res.body,
+	}, nil
+}
+
+// exchange runs one exchange with p under forwardTimeout and records
+// its outcome in p's health state: a transport failure arms the
+// backoff gate, any answer clears it.
+func (c *Cluster) exchange(ctx context.Context, p *Peer, req request) (response, error) {
+	now := c.now()
+	deadline := now.Add(forwardTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	res, err := p.do(ctx, now, deadline, req)
+	if err != nil {
+		p.reportFailure(c.now())
+		return res, err
 	}
 	p.reportSuccess()
-	return &ForwardResult{
-		Status:      resp.StatusCode,
-		ContentType: resp.Header.Get("Content-Type"),
-		ServedBy:    resp.Header.Get(HeaderNode),
-		Body:        data,
-	}, nil
+	return res, nil
 }
 
 // FetchJSON GETs path from a member (the /v1/cluster rollup path). It
@@ -251,28 +286,14 @@ func (c *Cluster) FetchJSON(ctx context.Context, id, path string) ([]byte, error
 	if p.down(c.now()) {
 		return nil, ErrPeerDown
 	}
-	actx, cancel := context.WithTimeout(ctx, forwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, p.baseURL+path, nil)
+	res, err := c.exchange(ctx, p, request{method: "GET", path: path})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.reportFailure(c.now())
-		return nil, err
+	if res.status != statusOK {
+		return nil, fmt.Errorf("cluster: peer %s %s answered %d", id, path, res.status)
 	}
-	defer resp.Body.Close() //lint:allow errcheck drain-side close; a close failure cannot affect the already-read body
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		p.reportFailure(c.now())
-		return nil, err
-	}
-	p.reportSuccess()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: peer %s %s answered %d", id, path, resp.StatusCode)
-	}
-	return data, nil
+	return res.body, nil
 }
 
 // Snapshot renders the cluster counters for the /metrics document.

@@ -33,6 +33,16 @@ func TestConfigValidation(t *testing.T) {
 		{NodeID: "x", Peers: map[string]string{"y": "http://h"}},          // self not a member
 		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "host:80"}}, // peer url without scheme
 		{NodeID: "x", Peers: map[string]string{"x": "h", "": "http://h"}}, // empty id
+		// Ids and URLs that cannot go on the wire verbatim.
+		{NodeID: "self\r\nX-Evil: 1", Peers: map[string]string{"self\r\nX-Evil: 1": "h", "y": "http://h"}}, // header injection
+		{NodeID: "x", Peers: map[string]string{"x": "h", "a b": "http://h"}},                               // space in id
+		{NodeID: "x", Peers: map[string]string{"x": "h", "nöde": "http://h"}},                              // non-ASCII id
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http://u:p@h"}},                             // userinfo
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http://h/pre?x=1"}},                         // query
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http://h/pre?"}},                            // empty query
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http://h/pre#f"}},                           // fragment
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http://"}},                                  // empty host
+		{NodeID: "x", Peers: map[string]string{"x": "h", "y": "http:///pre"}},                              // empty host, path only
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

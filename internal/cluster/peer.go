@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
+	"crypto/tls"
 	"net"
-	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -17,32 +19,51 @@ const (
 	reconnectCap  = 15 * time.Second
 )
 
-// Peer is one remote cluster member: its base URL, the shared HTTP
-// client, and its health state. Health is request-driven — there is no
-// prober goroutine; the first request after the backoff window expires
-// is the reconnect probe.
+// Peer is one remote cluster member: its address, its pool of
+// keep-alive connections (conn.go), and its health state. Health is
+// request-driven — there is no prober goroutine; the first request
+// after the backoff window expires is the reconnect probe.
 type Peer struct {
 	id      string
 	baseURL string
-	client  *http.Client
+	host    string      // the URL's host[:port], sent as Host
+	addr    string      // host:port to dial
+	prefix  string      // the URL's path, without a trailing slash
+	tls     *tls.Config // nil for an http:// peer
+	dial    func(context.Context) (net.Conn, error)
 
 	mu        sync.Mutex
 	fails     int       // consecutive transport failures
 	downUntil time.Time // zero when healthy
+
+	poolMu sync.Mutex
+	idle   []*peerConn // oldest first
+	closed bool        // Close ran: connections are no longer pooled
 }
 
-// newTransport builds the persistent connection pool every peer
-// shares: long-lived keep-alive connections, bounded idle pool.
-func newTransport() *http.Transport {
-	return &http.Transport{
-		DialContext: (&net.Dialer{
-			Timeout:   2 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     90 * time.Second,
+// newPeer builds the peer for a URL that Config.validate accepted.
+func newPeer(id, rawURL string) *Peer {
+	u, _ := parsePeerURL(rawURL) // validated by Config.validate
+	p := &Peer{
+		id:      id,
+		baseURL: strings.TrimRight(rawURL, "/"),
+		host:    u.Host,
+		prefix:  strings.TrimRight(u.EscapedPath(), "/"),
 	}
+	port := u.Port()
+	switch {
+	case port != "":
+	case u.Scheme == "https":
+		port = "443"
+	default:
+		port = "80"
+	}
+	p.addr = net.JoinHostPort(u.Hostname(), port)
+	if u.Scheme == "https" {
+		p.tls = &tls.Config{ServerName: u.Hostname()}
+	}
+	p.dial = p.dialPeer
+	return p
 }
 
 // healthy reports whether the peer is currently forwardable: either it

@@ -10,7 +10,7 @@ import (
 // BenchmarkForwardedVsLocalHit prices the forwarding hop: the same
 // warm cache hit served locally by the key's owner versus proxied to
 // the owner from a non-owner peer (one extra loopback HTTP round trip
-// over the persistent transport). The gap is the per-request cost of
+// over a pooled peer connection). The gap is the per-request cost of
 // consistent-hash ownership; docs/PERFORMANCE.md §10 tracks it.
 func BenchmarkForwardedVsLocalHit(b *testing.B) {
 	if testing.Short() {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"xbar/internal/cluster"
 	"xbar/internal/core"
@@ -251,6 +252,9 @@ func (c call) forward(keys []string) bool {
 	}
 	if res.ServedBy != "" {
 		c.w.Header().Set(cluster.HeaderNode, res.ServedBy)
+	}
+	if len(res.Body) > declareLengthAbove {
+		c.w.Header().Set("Content-Length", strconv.Itoa(len(res.Body)))
 	}
 	c.w.WriteHeader(res.Status)
 	if _, err := c.w.Write(res.Body); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,14 +206,21 @@ var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // "internal error", spelled out so the fallback cannot fail in turn.
 const internalErrorBody = `{"error":"internal error"}` + "\n"
 
+// declareLengthAbove is the body size above which writeJSON declares
+// Content-Length itself. net/http declares the length of a body that
+// fits its 2 KiB response buffer and chunks a larger one; declaring
+// the length of a small body would cost two allocations for nothing.
+const declareLengthAbove = 1 << 10
+
 // writeJSON renders one response document: a solve response through
 // its append encoder (appendResponse), anything else and anything
 // outside the encoder's subset through encoding/json. The document is
 // encoded in full before the status goes out, so a value JSON cannot
 // carry (a NaN or an infinity) turns into a 500 with an error
 // document, which the endpoint's error counter sees, instead of a 2xx
-// with a truncated body. A failed write usually means the client hung up; it is
-// counted, not propagated.
+// with a truncated body, and every response carries its
+// Content-Length, never a chunked body. A failed write usually means
+// the client hung up; it is counted, not propagated.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := encodeBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -228,6 +236,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		buf.WriteString(internalErrorBody)
 	}
 	w.Header().Set("Content-Type", "application/json")
+	if buf.Len() > declareLengthAbove {
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	}
 	w.WriteHeader(code)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.metrics.writeFailures.Add(1)

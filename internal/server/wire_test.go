@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -213,6 +214,49 @@ func TestWarmHitAllocs(t *testing.T) {
 		t.Logf("%s: %v allocations per warm request", tc.name, got)
 		if tc.max > 0 && got > tc.max {
 			t.Errorf("%s: %v allocations per warm request, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestWireContentLength serves every wire step, plus a sweep and a
+// grid answer larger than net/http's 2 KiB response buffer, over a
+// real listener and checks that each response declares a
+// Content-Length equal to its body: none goes out chunked.
+func TestWireContentLength(t *testing.T) {
+	s, err := New(Config{MaxDim: 64, MaxBodyBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var grid []string
+	for i := 1; i <= 14; i++ {
+		grid = append(grid, fmt.Sprintf(`{"n1":%d}`, i))
+	}
+	steps := append(wireSteps[:len(wireSteps):len(wireSteps)],
+		wireStep{"large sweep", "POST", "/v1/sweep", `{"n1":64,"n2":64,` + wireClasses + `}`},
+		wireStep{"large grid", "POST", "/v1/grid", `{"n1":14,"n2":14,"points":[` + strings.Join(grid, ",") + `],"weights":[1,3],` + wireClasses + `}`})
+	for _, st := range steps {
+		req, err := http.NewRequest(st.method, ts.URL+st.path, strings.NewReader(st.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close() //lint:allow errcheck the body is fully read
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if strings.HasPrefix(st.name, "large") && (resp.StatusCode != http.StatusOK || len(body) <= 2048) {
+			t.Fatalf("%s: status %d, %d-byte body; want a 200 over 2 KiB", st.name, resp.StatusCode, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, body %d bytes",
+				st.name, resp.ContentLength, resp.TransferEncoding, len(body))
 		}
 	}
 }

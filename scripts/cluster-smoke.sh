@@ -13,7 +13,10 @@
 #      answering the next request for it from its own cache;
 #   3. the /v1/cluster rollup keeps answering with the dead member
 #      marked unreachable; the final rollup is written to
-#      $CLUSTER_ROLLUP (default cluster-rollup.json) for CI artifacts.
+#      $CLUSTER_ROLLUP (default cluster-rollup.json) for CI artifacts;
+#   4. once the owner restarts on its port and the survivor's backoff
+#      gate has passed, the survivor forwards to it again: the answer
+#      is served by the owner with the same blocking value.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -168,16 +171,49 @@ grep -q '"reachable":2' "$ROLLUP" || {
 }
 echo "cluster-smoke: rollup written to $ROLLUP"
 
-# Clean drain for the two survivors.
+# Restart the owner on its port. The survivor's forwards to it failed
+# twice, so its backoff gate is 500 ms (1 s had the rollup probed it
+# again); past that, the next request is the reconnect probe and must
+# be served by the restarted owner with the same measures.
+"$WORK/xbard" -addr "127.0.0.1:$((BASE_PORT + OWNER_IDX))" -drain 10s \
+    -node-id "$OWNER" -peers "$PEERS" \
+    2>"$WORK/xbard-$OWNER-restart.log" &
+PIDS[$OWNER_IDX]=$!
+DEADLINE=$(( $(date +%s) + 20 ))
+until curl -fsS "$(url $OWNER_IDX)/readyz" >/dev/null 2>&1; do
+    if [ "$(date +%s)" -ge "$DEADLINE" ]; then
+        echo "cluster-smoke: restarted owner $OWNER not ready; log:" >&2
+        cat "$WORK/xbard-$OWNER-restart.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+sleep 1.2
+curl -fsS -D "$WORK/hdr-restart.txt" -X POST -d "$BODY" \
+    "$(url $SURVIVOR_IDX)/v1/blocking" >"$WORK/resp-restart.json"
+SB="$(served_by "$WORK/hdr-restart.txt")"
+if [ "$SB" != "$OWNER" ]; then
+    echo "cluster-smoke: after the owner's restart, served by '$SB', want owner $OWNER" >&2
+    exit 1
+fi
+BR="$(grep -o '"blocking":[0-9.eE+-]*' "$WORK/resp-restart.json" | head -1)"
+if [ "$B0" != "$BR" ]; then
+    echo "cluster-smoke: restarted owner's blocking $BR differs from $B0" >&2
+    exit 1
+fi
+echo "cluster-smoke: survivor reconnected to the restarted owner $OWNER (bit-identical blocking)"
+
+# Clean drain for every running node.
 for i in 0 1 2; do
-    [ "$i" -eq "$OWNER_IDX" ] && continue
     kill -TERM "${PIDS[$i]}"
     wait "${PIDS[$i]}" || {
         echo "cluster-smoke: ${IDS[$i]} exited non-zero; log:" >&2
         cat "$WORK/xbard-${IDS[$i]}.log" >&2
         exit 1
     }
-    grep -q "drained cleanly" "$WORK/xbard-${IDS[$i]}.log"
+    log="$WORK/xbard-${IDS[$i]}.log"
+    [ "$i" -eq "$OWNER_IDX" ] && log="$WORK/xbard-$OWNER-restart.log"
+    grep -q "drained cleanly" "$log"
 done
 PIDS=()
-echo "cluster-smoke: clean drain on survivors, all checks passed"
+echo "cluster-smoke: clean drain on all nodes, all checks passed"
