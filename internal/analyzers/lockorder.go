@@ -24,9 +24,10 @@ import (
 // field selector by its named type and field (every instance of
 // core.Engine.mu is "the same lock" for ordering), a package-level
 // var by its qualified name, a local by its declaration. Channel
-// semaphores and other hand-rolled locks are out of scope — the
-// repo's entry locks deliberately support try-lock shapes a
-// must-analysis cannot follow.
+// semaphores and other hand-rolled locks are out of scope: a
+// context-aware channel acquire (xbard's solve semaphore) gives up on
+// one path and holds on the other, a shape a must-analysis cannot
+// follow.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "sync.Mutex/RWMutex held across returns and inconsistent lock acquisition order",

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // The sweep solvers amortize one lattice fill over many reads. Both
 // Algorithm 1 and Algorithm 2 retain their full recursion grids, and
@@ -30,17 +33,23 @@ type latticeResulter interface {
 // sweepCache memoizes ResultAt reads off a retained lattice. Computing
 // a Result from the lattice is O(R (n/a)) (the concurrency chains) and
 // allocates; the cache makes repeated reads of the same point O(1).
+//
+// Between fills the lattice is read-only, so reads are safe for
+// concurrent use: each memo slot is an atomic pointer, and two first
+// reads of one point that race both compute it. Their Results are
+// bit-identical (the underlying ResultAt only reads the lattice), so
+// whichever Store lands last is as good as the other.
 type sweepCache struct {
 	sw    Switch
 	lat   latticeResulter
-	cache []*Result
+	cache []atomic.Pointer[Result]
 }
 
 func newSweepCache(sw Switch, lat latticeResulter) sweepCache {
 	return sweepCache{
 		sw:    sw,
 		lat:   lat,
-		cache: make([]*Result, (sw.N1+1)*(sw.N2+1)),
+		cache: make([]atomic.Pointer[Result], (sw.N1+1)*(sw.N2+1)),
 	}
 }
 
@@ -54,7 +63,7 @@ func (s *sweepCache) reset(sw Switch, lat latticeResulter) {
 		s.cache = s.cache[:size]
 		clear(s.cache)
 	} else {
-		s.cache = make([]*Result, size)
+		s.cache = make([]atomic.Pointer[Result], size)
 	}
 }
 
@@ -68,19 +77,19 @@ func (s *sweepCache) Result() *Result { return s.ResultAt(s.sw.N1, s.sw.N2) }
 // same per-route classes, computed from the retained lattice on first
 // read and served from the cache afterwards. The returned Result is
 // shared across calls and must not be mutated. Panics outside the
-// solved lattice, same contract as the underlying solvers. Not safe
-// for concurrent use; shard sweeps across solvers instead.
+// solved lattice, same contract as the underlying solvers. Safe for
+// concurrent use, as are Result, WAt and ShadowCost.
 func (s *sweepCache) ResultAt(n1, n2 int) *Result {
 	if n1 < 1 || n2 < 1 || n1 > s.sw.N1 || n2 > s.sw.N2 {
 		// Delegate so the panic message names the concrete solver.
 		return s.lat.ResultAt(n1, n2)
 	}
-	i := n1*(s.sw.N2+1) + n2
-	if r := s.cache[i]; r != nil {
+	slot := &s.cache[n1*(s.sw.N2+1)+n2]
+	if r := slot.Load(); r != nil {
 		return r
 	}
 	r := s.lat.ResultAt(n1, n2)
-	s.cache[i] = r
+	slot.Store(r)
 	return r
 }
 
@@ -107,7 +116,9 @@ func (s *sweepCache) ShadowCost(weights []float64, r int) float64 {
 }
 
 // SweepSolver is the Algorithm 1 sweep layer: one Eq. 10 lattice fill
-// at the full size, memoized ResultAt reads for every sub-size.
+// at the full size, memoized ResultAt reads for every sub-size. Its
+// reads (Result, ResultAt, WAt, ShadowCost) are safe for concurrent
+// use; Reuse is not, and must not overlap any read.
 type SweepSolver struct {
 	sweepCache
 	solver *Solver
@@ -144,7 +155,8 @@ func (s *SweepSolver) Reuse(sw Switch, _ ...Options) error {
 
 // MVASweepSolver is the Algorithm 2 twin: one ratio-lattice fill,
 // memoized ResultAt reads. Same semantics as SweepSolver with
-// Algorithm 2's plain-float64 numerics.
+// Algorithm 2's plain-float64 numerics, and the same concurrency
+// contract: concurrent reads, exclusive Reuse.
 type MVASweepSolver struct {
 	sweepCache
 	solver *MVASolver

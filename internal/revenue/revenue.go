@@ -33,6 +33,10 @@ import (
 // on a core.SweepSolver: one lattice fill, memoized sub-size results.
 // Only the numerical-difference gradients re-solve, and those go
 // through one reusable scratch solver instead of allocating per step.
+//
+// Many Analyses may share one sweep solver concurrently (its reads are
+// safe for concurrent use), but one Analysis owns its gradient scratch
+// and is for one goroutine at a time.
 type Analysis struct {
 	sw      core.Switch
 	weights []float64

@@ -75,9 +75,10 @@ type Config struct {
 	// are costlier than sweep points (each may be a distinct lattice
 	// fill), so the default is smaller: 256.
 	MaxGridPoints int
-	// MaxConcurrent bounds the cache fills (lattice fills and scenario
-	// evaluations) in flight at once (the solve semaphore); cache hits
-	// take no slot. Default runtime.GOMAXPROCS(0).
+	// MaxConcurrent bounds the solves in flight at once (the solve
+	// semaphore): cache fills (lattice fills and scenario evaluations)
+	// and exact-tier revenue gradient re-solves. Cache hits that only
+	// read a lattice take no slot. Default runtime.GOMAXPROCS(0).
 	MaxConcurrent int
 	// NodeID names this node in a cluster; it must be a key of Peers.
 	// Ignored (may stay empty) when Peers is empty.

@@ -193,10 +193,10 @@ func TestGridValidation(t *testing.T) {
 }
 
 // TestRowsCopyMeasures pins the response-row copy discipline: grid and
-// sweep rows are serialized after their cache entry is unlocked and
-// released, while the sweep layers memoize ResultAt reads, so a row
-// holding views into the Result would alias a pooled entry's lattice
-// memo past its lifecycle. The rows must carry copies.
+// sweep rows are serialized after their cache entry is released, while
+// the sweep layers memoize ResultAt reads, so a row holding views into
+// the Result would alias a pooled entry's lattice memo past its
+// lifecycle. The rows must carry copies.
 func TestRowsCopyMeasures(t *testing.T) {
 	res, err := core.Solve(paperSwitch(4))
 	if err != nil {

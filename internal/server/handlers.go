@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 
 	"xbar/internal/admission"
 	"xbar/internal/core"
@@ -136,8 +137,9 @@ type ClassResult struct {
 // copyFloats clones one measure slice out of a solver Result. The
 // sweep layers memoize ResultAt reads, so a Result read off a cached
 // entry shares its slices with the entry's lattice memo; response
-// documents are encoded after fetch has unlocked and released the
-// entry, so they must carry copies, never views.
+// documents are encoded after fetch has released the entry, and
+// nothing read off an entry outlives its read, so they carry copies,
+// never views.
 func copyFloats(xs []float64) []float64 {
 	return append([]float64(nil), xs...)
 }
@@ -291,6 +293,17 @@ func (s *Server) handleRevenue(c call, req *RevenueRequest) (any, error) {
 			return badRequest("%v", err)
 		}
 		resp.W, resp.Cached = an.W(), cached
+		if req.Gradients && slices.ContainsFunc(sw.Classes, func(cl core.Class) bool {
+			return revenue.HasBetaMuGradient(cl, sw)
+		}) {
+			// The beta/mu gradients re-solve the lattice, so they take
+			// a solve slot like every other fill.
+			release, err := c.s.acquire(c.r.Context())
+			if err != nil {
+				return overloaded(err)
+			}
+			defer release()
+		}
 		for i, c := range sw.Classes {
 			cr := ClassRevenue{
 				Name:          req.Classes[i].Name,
@@ -581,7 +594,7 @@ func exactRow(n1, n2 int, res *core.Result, weights []float64, opt *core.Dispatc
 
 // resultRow builds one sweep or grid response row. The measure slices
 // are copied out of the (entry-owned, memoized) Result so the row
-// stays valid after the entry is unlocked and released. (Asymptotic
+// stays valid after the entry is released. (Asymptotic
 // results own their slices, but copying unconditionally keeps the
 // escape rule simple.)
 func resultRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {

@@ -127,25 +127,19 @@ func (s *Server) model(spec SwitchSpec, d DispatchSpec) (core.Switch, *core.Disp
 
 // exact is the exact tier's key, forward and fetch stages for the
 // solver cache. It keys each lattice once (algorithm alg filled for
-// sws[i]) and reads lattice i with read under the entry lock. It
-// reports false when the request was forwarded: the owner's response
-// is written, and the endpoint returns a nil document.
+// sws[i]) and reads lattice i with read; a filled lattice is
+// read-only, so read takes no lock. It reports false when the request
+// was forwarded: the owner's response is written, and the endpoint
+// returns a nil document.
 func (c call) exact(alg string, sws []core.Switch, read func(i int, e *solverEntry, cached bool) error) (bool, error) {
 	var stack [4]string
 	keys := stack[:0]
 	for _, sw := range sws {
 		keys = append(keys, cacheKey(alg, sw))
 	}
-	ctx := c.r.Context()
 	return through(c, c.s.cache, keys,
 		func(i int) (*solverEntry, error) { return c.s.solvers.fill(alg, sws[i]) },
-		func(i int, e *solverEntry, cached bool) error {
-			if err := e.lock(ctx); err != nil {
-				return overloaded(err)
-			}
-			defer e.unlock()
-			return read(i, e, cached)
-		},
+		read,
 		func(err error) error { return unprocessable("%v", err) })
 }
 
@@ -167,12 +161,12 @@ func through[V any](c call, ch *cache[V], keys []string, fill func(i int) (V, er
 }
 
 // fetch is the pipeline's one way into a cache: it resolves key,
-// filling it on a miss, runs read on the value and releases it. Only
-// the fill takes a solve slot: the semaphore bounds concurrent fills
-// (the CPU-heavy part), while hits and requests sharing another's fill
-// pass straight through. The value never escapes read: whatever the
-// response keeps is copied out of it, and encoding runs after fetch
-// returns.
+// filling it on a miss, runs read on the value and releases it. The
+// fill takes a solve slot: the semaphore bounds lattice fills (the
+// CPU-heavy part), while hits and requests sharing another's fill pass
+// straight through. A read that re-solves (revenue gradients) takes a
+// slot of its own. The value never escapes read: whatever the response
+// keeps is copied out of it, and encoding runs after fetch returns.
 func fetch[V any](c call, ch *cache[V], key string, i int, fill func(i int) (V, error),
 	read func(i int, v V, cached bool) error, failed func(error) error) error {
 	ctx := c.r.Context()
@@ -199,8 +193,8 @@ func fetch[V any](c call, ch *cache[V], key string, i int, fill func(i int) (V, 
 	return read(i, h.v, cached)
 }
 
-// overloaded maps context expiry (semaphore or entry-lock wait) onto
-// 503 so load balancers retry elsewhere.
+// overloaded maps context expiry (solve-slot or single-flight wait)
+// onto 503 so load balancers retry elsewhere.
 func overloaded(err error) error {
 	return &apiError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("overloaded: %v", err)}
 }

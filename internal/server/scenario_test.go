@@ -444,8 +444,8 @@ func TestScenarioCacheUnit(t *testing.T) {
 		}},
 		{"waiter abandons after completion", 1, func(t *testing.T, tc *testCache) {
 			// The waiter is granted its reference by the shared fill,
-			// then gives up (as a handler does when the entry lock times
-			// out). Its release is the last one of the evicted value.
+			// then gives up (as a handler does when its read fails).
+			// Its release is the last one of the evicted value.
 			release, leader := tc.blockedFill("k", res("k"))
 			waiter := make(chan fillOutcome, 1)
 			go func() {

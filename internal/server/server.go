@@ -250,7 +250,9 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	s.writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// acquire claims a fill slot, giving up when ctx expires.
+// acquire claims a solve slot, giving up when ctx expires. Cache
+// fills, scenario evaluations and exact-tier gradient re-solves each
+// hold one.
 func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:

@@ -233,6 +233,113 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestConcurrentEntryReads pins that a filled entry is read-only:
+// blocking, revenue (with a Pascal gradient), admission, sweep and
+// grid requests all read one Algorithm 1 lattice at once, and
+// blocking, sweep and grid requests one Algorithm 2 lattice, with no
+// lock between them. Every body is byte-identical to the same request
+// served alone (cold for the one request that filled, warm for the
+// rest), and each algorithm fills exactly once.
+func TestConcurrentEntryReads(t *testing.T) {
+	spec := SwitchSpec{N1: 16, N2: 16, Units: "route", Classes: []ClassSpec{
+		{Name: "smooth", A: 1, Alpha: 0.002, Mu: 1},
+		{Name: "peaky", A: 2, Alpha: 0.0003, Beta: 0.0001, Mu: 0.5},
+		{Name: "finite", A: 3, Alpha: 0.00004, Beta: -0.000002, Mu: 1},
+	}}
+	weights := []float64{1, 2, 3}
+	points := []SweepPoint{{N1: 16, N2: 16}, {N1: 9, N2: 12}, {N1: 3, N2: 3}, {N1: 16, N2: 1}}
+	gridPoints := []GridPoint{{}, {N1: 7}, {N1: 12, N2: 5}}
+	type request struct {
+		alg, path string
+		body      []byte
+	}
+	var reqs []request
+	add := func(alg, path string, body any) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, request{alg, path, buf})
+	}
+	for _, alg := range []string{alg1, alg2} {
+		add(alg, "/v1/blocking", BlockingRequest{SwitchSpec: spec, Algorithm: alg})
+		add(alg, "/v1/sweep", SweepRequest{SwitchSpec: spec, Algorithm: alg, Points: points, Weights: weights})
+		add(alg, "/v1/grid", GridRequest{SwitchSpec: spec, Algorithm: alg, Points: gridPoints, Weights: weights})
+	}
+	add(alg1, "/v1/revenue", RevenueRequest{SwitchSpec: spec, Weights: weights, Gradients: true})
+	add(alg1, "/v1/admission", AdmissionRequest{SwitchSpec: spec, Class: 1, Weights: weights})
+	serve := func(h http.Handler, r request) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, r.path, bytes.NewReader(r.body)))
+		return rec.Code, rec.Body.String()
+	}
+	cfg := Config{RequestTimeout: time.Minute}
+
+	// Each request served alone, on a server of its own: the cold body
+	// fills, the warm one reads the entry.
+	cold, warm := make([]string, len(reqs)), make([]string, len(reqs))
+	for i, r := range reqs {
+		alone, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := alone.Handler()
+		for _, out := range []*string{&cold[i], &warm[i]} {
+			code, body := serve(h, r)
+			if code != http.StatusOK {
+				t.Fatalf("%s %s alone: status %d: %s", r.alg, r.path, code, body)
+			}
+			*out = body
+		}
+		if cold[i] == warm[i] {
+			t.Fatalf("%s %s: cold and warm bodies agree; the test cannot tell the filler", r.alg, r.path)
+		}
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const goroutines, rounds = 16, 2
+	var mu sync.Mutex
+	colds := map[string]int{}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for k := 0; k < rounds*len(reqs); k++ {
+				i := (g + k) % len(reqs)
+				r := reqs[i]
+				code, body := serve(h, r)
+				switch {
+				case code != http.StatusOK:
+					t.Errorf("%s %s: status %d: %s", r.alg, r.path, code, body)
+				case body == cold[i]:
+					mu.Lock()
+					colds[r.alg]++
+					mu.Unlock()
+				case body != warm[i]:
+					t.Errorf("%s %s: body differs from the request served alone:\n got %s\nwant %s", r.alg, r.path, body, warm[i])
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, alg := range []string{alg1, alg2} {
+		if colds[alg] != 1 {
+			t.Errorf("%s: %d requests filled the lattice, want exactly 1", alg, colds[alg])
+		}
+	}
+	if m := s.Metrics().Snapshot().Cache.Misses; m != 2 {
+		t.Errorf("misses = %d, want 2 (one per algorithm)", m)
+	}
+}
+
 // TestConcurrentDistinctRequests drives different operating points
 // concurrently (race coverage for the LRU + flights maps) and checks
 // each against a direct solve.
@@ -690,42 +797,48 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestEntryLockTimeout pins the overload path: a request that cannot
-// get the entry lock within its deadline turns into 503, not a hang.
-func TestEntryLockTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
-	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
-		t.Fatalf("priming status %d", code)
-	}
-	h, _, err := s.cache.get(context.Background(), cacheKey(alg1, paperSwitch(8)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.cache.release(h)
-	if err := h.v.lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer h.v.unlock()
-	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("status %d with the entry locked, want 503", code)
-	}
-}
-
 // TestSemaphoreBoundsFillsOnly pins the admission rule: the solve
-// semaphore bounds lattice fills, so with every slot taken a cache hit
-// is still served while a miss times out into a 503.
+// semaphore bounds lattice fills and exact-tier gradient re-solves, so
+// with every slot taken a cache hit that only reads the lattice is
+// still served, while a miss or a hit that would re-solve times out
+// into a 503.
 func TestSemaphoreBoundsFillsOnly(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 200 * time.Millisecond})
-	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
-		t.Fatalf("priming status %d", code)
+	pascal := SwitchSpec{N1: 8, N2: 8, Classes: []ClassSpec{
+		{Name: "smooth", A: 1, Alpha: 0.0024, Mu: 1},
+		{Name: "peaky", A: 2, Alpha: 0.002, Beta: 0.0005, Mu: 0.5},
+	}}
+	weights := []float64{1, 2}
+	for _, prime := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}},
+		{"/v1/revenue", RevenueRequest{SwitchSpec: pascal, Weights: weights}},
+	} {
+		if code := postJSON(t, ts, prime.path, prime.body, nil); code != http.StatusOK {
+			t.Fatalf("priming %s: status %d", prime.path, code)
+		}
 	}
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
-		t.Errorf("cache hit with the semaphore full: status %d, want 200", code)
-	}
-	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(10)}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("cache miss with the semaphore full: status %d, want 503", code)
+	for _, tc := range []struct {
+		name string
+		path string
+		body any
+		want int
+	}{
+		{"cache hit", "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, http.StatusOK},
+		{"cache miss", "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(10)}, http.StatusServiceUnavailable},
+		{"revenue hit", "/v1/revenue", RevenueRequest{SwitchSpec: pascal, Weights: weights}, http.StatusOK},
+		{"revenue hit, Pascal gradients", "/v1/revenue",
+			RevenueRequest{SwitchSpec: pascal, Weights: weights, Gradients: true}, http.StatusServiceUnavailable},
+		{"revenue hit, all-Poisson gradients", "/v1/revenue",
+			RevenueRequest{SwitchSpec: paperSpec(8), Weights: []float64{1}, Gradients: true}, http.StatusOK},
+	} {
+		if code := postJSON(t, ts, tc.path, tc.body, nil); code != tc.want {
+			t.Errorf("%s with the semaphore full: status %d, want %d", tc.name, code, tc.want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -21,39 +20,16 @@ const (
 // for either Algorithm 1 or Algorithm 2. Exactly one of sweep and mva
 // is non-nil.
 //
-// The sweep layers memoize their reads and the revenue analysis keeps
-// re-solve scratch, neither of which is safe for concurrent use, so
-// every read of an entry happens under mu.
+// A filled entry is read-only for its whole resident life: the sweep
+// layers' reads are safe for concurrent use, and each revenue request
+// builds its own analysis (and gradient scratch) on top. So any number
+// of requests read one entry at once, with no lock.
 type solverEntry struct {
-	mu    chan struct{} // 1-slot semaphore: lockable with a context
 	sweep *core.SweepSolver
 	mva   *core.MVASweepSolver
 }
 
-// lock acquires the entry's read lock, giving up when ctx expires —
-// a request queued behind a long revenue-gradient read on the same
-// operating point times out instead of hanging past its deadline.
-func (e *solverEntry) lock(ctx context.Context) error {
-	select {
-	case e.mu <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (e *solverEntry) unlock() { <-e.mu }
-
-// switchModel returns the canonical switch the lattice was filled for.
-func (e *solverEntry) switchModel() core.Switch {
-	if e.sweep != nil {
-		return e.sweep.Switch()
-	}
-	return e.mva.Switch()
-}
-
 // resultAt reads the sub-switch measures off the retained lattice.
-// Callers hold the entry lock.
 func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
 	if e.sweep != nil {
 		return e.sweep.ResultAt(n1, n2)
@@ -61,7 +37,7 @@ func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
 	return e.mva.ResultAt(n1, n2)
 }
 
-// result reads the full-size measures. Callers hold the entry lock.
+// result reads the full-size measures.
 func (e *solverEntry) result() *core.Result {
 	if e.sweep != nil {
 		return e.sweep.Result()
@@ -127,7 +103,7 @@ type solverPool struct {
 // fill fills a lattice for the operating point, on a pooled solver
 // when one is available.
 func (p *solverPool) fill(alg string, sw core.Switch) (*solverEntry, error) {
-	e := &solverEntry{mu: make(chan struct{}, 1)}
+	e := &solverEntry{}
 	p.mu.Lock()
 	switch alg {
 	case alg1:
