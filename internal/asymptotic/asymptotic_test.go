@@ -59,7 +59,13 @@ var (
 	batterySizes = []int{16, 24, 32, 48, 64, 96, 128, 192, 256}
 )
 
+// relErr is |got - want| / |want|, +Inf against a zero want unless got
+// is zero too. A NaN operand or an infinite want reads +Inf, so every
+// e > bound check rejects it.
 func relErr(got, want float64) float64 {
+	if math.IsNaN(got) || math.IsNaN(want) || math.IsInf(want, 0) {
+		return math.Inf(1)
+	}
 	if want == 0 { //lint:allow floatcmp exact zero guard for the relative-error denominator
 		if got == 0 { //lint:allow floatcmp exact zero guard
 			return 0

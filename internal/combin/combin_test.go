@@ -4,16 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-)
 
-func almostEqual(a, b, relTol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= relTol*scale
-}
+	"xbar/internal/floats"
+)
 
 func TestFactorialSmall(t *testing.T) {
 	want := []float64{1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800}
@@ -26,7 +19,7 @@ func TestFactorialSmall(t *testing.T) {
 
 func TestFactorialLarge(t *testing.T) {
 	// 25! = 15511210043330985984000000
-	if got, want := Factorial(25), 1.5511210043330986e25; !almostEqual(got, want, 1e-12) {
+	if got, want := Factorial(25), 1.5511210043330986e25; !floats.WithinRel(got, want, 1e-12) {
 		t.Errorf("Factorial(25) = %v, want %v", got, want)
 	}
 	// 170! is the largest finite factorial in float64; 171! overflows.
@@ -51,7 +44,7 @@ func TestLogFactorialMatchesFactorial(t *testing.T) {
 	for n := 0; n <= 170; n += 7 {
 		got := LogFactorial(n)
 		want := math.Log(Factorial(n))
-		if !almostEqual(got, want, 1e-12) {
+		if !floats.WithinRel(got, want, 1e-12) {
 			t.Errorf("LogFactorial(%d) = %v, want %v", n, got, want)
 		}
 	}
@@ -59,7 +52,7 @@ func TestLogFactorialMatchesFactorial(t *testing.T) {
 
 func TestLogFactorialLargeArgument(t *testing.T) {
 	// ln(1000!) = 5912.128178... (Stirling-checked reference value).
-	if got, want := LogFactorial(1000), 5912.128178488163; !almostEqual(got, want, 1e-10) {
+	if got, want := LogFactorial(1000), 5912.128178488163; !floats.WithinRel(got, want, 1e-10) {
 		t.Errorf("LogFactorial(1000) = %v, want %v", got, want)
 	}
 }
@@ -89,7 +82,7 @@ func TestPermMatchesFactorialRatio(t *testing.T) {
 		for a := 0; a <= n; a++ {
 			got := Perm(n, a)
 			want := Factorial(n) / Factorial(n-a)
-			if !almostEqual(got, want, 1e-12) {
+			if !floats.WithinRel(got, want, 1e-12) {
 				t.Errorf("Perm(%d, %d) = %v, want n!/(n-a)! = %v", n, a, got, want)
 			}
 		}
@@ -101,7 +94,7 @@ func TestLogPermMatchesPerm(t *testing.T) {
 		for a := 0; a <= 4 && a <= n; a++ {
 			got := LogPerm(n, a)
 			want := math.Log(Perm(n, a))
-			if !almostEqual(got, want, 1e-12) {
+			if !floats.WithinRel(got, want, 1e-12) {
 				t.Errorf("LogPerm(%d, %d) = %v, want %v", n, a, got, want)
 			}
 		}
@@ -160,7 +153,7 @@ func TestBinomPascalRule(t *testing.T) {
 		if aa > nn {
 			return true
 		}
-		return almostEqual(Binom(nn, aa), Binom(nn-1, aa-1)+Binom(nn-1, aa), 1e-12)
+		return floats.WithinRel(Binom(nn, aa), Binom(nn-1, aa-1)+Binom(nn-1, aa), 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -179,7 +172,7 @@ func TestBinomInt(t *testing.T) {
 func TestBinomIntMatchesBinom(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		for a := 0; a <= n; a++ {
-			if got, want := float64(BinomInt(n, a)), Binom(n, a); !almostEqual(got, want, 1e-12) {
+			if got, want := float64(BinomInt(n, a)), Binom(n, a); !floats.WithinRel(got, want, 1e-12) {
 				t.Errorf("BinomInt(%d, %d) = %v, want %v", n, a, got, want)
 			}
 		}
@@ -192,7 +185,7 @@ func TestGeneralizedBinomIntegerCase(t *testing.T) {
 		for k := 0; k <= 10; k++ {
 			got := GeneralizedBinom(float64(x), k)
 			want := Binom(x+k-1, k)
-			if !almostEqual(got, want, 1e-12) {
+			if !floats.WithinRel(got, want, 1e-12) {
 				t.Errorf("GeneralizedBinom(%d, %d) = %v, want %v", x, k, got, want)
 			}
 		}
@@ -212,7 +205,7 @@ func TestGeneralizedBinomRecurrence(t *testing.T) {
 		kk := 1 + int(k%20)
 		got := GeneralizedBinom(x, kk)
 		want := GeneralizedBinom(x, kk-1) * (x + float64(kk-1)) / float64(kk)
-		return almostEqual(got, want, 1e-10)
+		return floats.WithinRel(got, want, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

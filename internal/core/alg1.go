@@ -386,12 +386,7 @@ func (s *Solver) ResultAt(n1, n2 int) *Result {
 			n1, n2, s.sw.N1, s.sw.N2))
 	}
 	sub := Switch{N1: n1, N2: n2, Classes: s.sw.Classes}
-	res := &Result{
-		Switch:      sub,
-		Method:      "algorithm1",
-		NonBlocking: make([]float64, len(sub.Classes)),
-		Concurrency: make([]float64, len(sub.Classes)),
-	}
+	res := newResult(sub, "algorithm1")
 	qn := s.at(n1, n2)
 	res.LogG = qn.Log() + combin.LogFactorial(n1) + combin.LogFactorial(n2)
 
@@ -516,13 +511,8 @@ func SolveUnscaled(sw Switch) (*Result, error) {
 		return nil, fmt.Errorf("core: unscaled Algorithm 1 lost Q(N) to %v at %dx%d; use Solve (dynamic scaling)",
 			qn, n1max, n2max)
 	}
-	res := &Result{
-		Switch:      sw,
-		Method:      "algorithm1-unscaled",
-		NonBlocking: make([]float64, len(sw.Classes)),
-		Concurrency: make([]float64, len(sw.Classes)),
-		LogG:        math.Log(qn) + combin.LogFactorial(n1max) + combin.LogFactorial(n2max),
-	}
+	res := newResult(sw, "algorithm1-unscaled")
+	res.LogG = math.Log(qn) + combin.LogFactorial(n1max) + combin.LogFactorial(n2max)
 	for r, c := range sw.Classes {
 		a := c.A
 		if a > sw.MinN() {

@@ -121,10 +121,10 @@ func sameBits(got, want sweepReads) string {
 // TestSweepConcurrentReads pins the sweep layers' concurrency
 // contract: a filled SweepSolver or MVASweepSolver is read-only, so
 // any number of goroutines may read it at once — including racing
-// first reads of one memo slot — and every value they get is
+// first reads of one memo point — and every value they get is
 // bit-identical to a sequential read of a fresh solver. Each reader
 // builds its own revenue Analysis on the shared Algorithm 1 lattice.
-// Run it under -race: a plain memo slot fails there.
+// Run it under -race: a memo map without its lock fails there.
 func TestSweepConcurrentReads(t *testing.T) {
 	const readers = 8
 	for _, mix := range concurrentMixes {

@@ -46,15 +46,10 @@ func SolveConvolution(sw Switch) (*Result, error) {
 		gn = gn.Add(psi[occ].Mul(g[occ]))
 	}
 
-	res := &Result{
-		Switch:         sw,
-		Method:         "convolution",
-		NonBlocking:    make([]float64, len(sw.Classes)),
-		Concurrency:    make([]float64, len(sw.Classes)),
-		LogG:           gn.Log(),
-		Occupancy:      make([]float64, s+1),
-		ClassMarginals: make([][]float64, len(sw.Classes)),
-	}
+	res := newResult(sw, "convolution")
+	res.LogG = gn.Log()
+	res.Occupancy = make([]float64, s+1)
+	res.ClassMarginals = make([][]float64, len(sw.Classes))
 	for occ := 0; occ <= s; occ++ {
 		res.Occupancy[occ] = psi[occ].Mul(g[occ]).Ratio(gn)
 	}

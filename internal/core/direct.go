@@ -75,13 +75,8 @@ func solveDirectRates(sw Switch, birth, death []RateFunc, method string) (*Resul
 		return nil, fmt.Errorf("core: normalization constant is zero")
 	}
 
-	res := &Result{
-		Switch:      sw,
-		Method:      method,
-		NonBlocking: make([]float64, len(sw.Classes)),
-		Concurrency: make([]float64, len(sw.Classes)),
-		LogG:        g.Log(),
-	}
+	res := newResult(sw, method)
+	res.LogG = g.Log()
 	for r := range sums {
 		res.Concurrency[r] = sums[r].Ratio(g)
 	}

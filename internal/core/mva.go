@@ -460,13 +460,8 @@ func (s *MVASolver) ResultAt(n1, n2 int) *Result {
 			n1, n2, s.sw.N1, s.sw.N2))
 	}
 	sub := Switch{N1: n1, N2: n2, Classes: s.sw.Classes}
-	res := &Result{
-		Switch:      sub,
-		Method:      "algorithm2",
-		NonBlocking: make([]float64, len(sub.Classes)),
-		Concurrency: make([]float64, len(sub.Classes)),
-		LogG:        s.logG(n1, n2),
-	}
+	res := newResult(sub, "algorithm2")
+	res.LogG = s.logG(n1, n2)
 	for r, c := range sub.Classes {
 		a := c.A
 		if a > sub.MinN() {

@@ -131,10 +131,24 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// newResult starts an exact evaluator's Result for sw. Its three
+// per-class measure slices share one allocation, each capped at its
+// length so that an append to one cannot write into the next.
+func newResult(sw Switch, method string) *Result {
+	r := len(sw.Classes)
+	m := make([]float64, 3*r)
+	return &Result{
+		Switch:      sw,
+		Method:      method,
+		NonBlocking: m[:r:r],
+		Concurrency: m[r : 2*r : 2*r],
+		Blocking:    m[2*r:],
+	}
+}
+
 // finish derives Blocking from NonBlocking and sanity-clamps rounding
 // noise at the probability boundaries.
 func (r *Result) finish() {
-	r.Blocking = make([]float64, len(r.NonBlocking))
 	for i, nb := range r.NonBlocking {
 		if nb < 0 {
 			nb = 0

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 )
 
 // The sweep solvers amortize one lattice fill over many reads. Both
@@ -34,36 +34,34 @@ type latticeResulter interface {
 // a Result from the lattice is O(R (n/a)) (the concurrency chains) and
 // allocates; the cache makes repeated reads of the same point O(1).
 //
+// The memo is sparse: it holds only the points that were read, keyed
+// by n1*(N2+1)+n2. A served entry reads one to a few points of its
+// lattice, so the memo's memory, its GC scan and its clear on reset
+// scale with the reads, not with the (N1+1)*(N2+1) lattice.
+//
 // Between fills the lattice is read-only, so reads are safe for
-// concurrent use: each memo slot is an atomic pointer, and two first
-// reads of one point that race both compute it. Their Results are
-// bit-identical (the underlying ResultAt only reads the lattice), so
-// whichever Store lands last is as good as the other.
+// concurrent use: lookups take mu's read lock, and a miss computes its
+// Result outside the lock and stores it under the write lock unless
+// another reader stored the point first. After the first store every
+// reader of a point gets the same pointer. reset is exclusive, like
+// the Reuse that calls it.
 type sweepCache struct {
-	sw    Switch
-	lat   latticeResulter
-	cache []atomic.Pointer[Result]
+	sw   Switch
+	lat  latticeResulter
+	mu   sync.RWMutex
+	memo map[int]*Result
 }
 
-func newSweepCache(sw Switch, lat latticeResulter) sweepCache {
-	return sweepCache{
-		sw:    sw,
-		lat:   lat,
-		cache: make([]atomic.Pointer[Result], (sw.N1+1)*(sw.N2+1)),
-	}
-}
-
-// reset re-points the cache at a freshly filled lattice, recycling the
-// memo slice whenever its capacity allows.
+// reset re-points the cache at a freshly filled lattice. Clearing the
+// memo keeps its storage for the next fill's reads; a nil memo (the
+// zero SweepSolver or MVASweepSolver) is made here.
 func (s *sweepCache) reset(sw Switch, lat latticeResulter) {
 	s.sw = sw
 	s.lat = lat
-	size := (sw.N1 + 1) * (sw.N2 + 1)
-	if cap(s.cache) >= size {
-		s.cache = s.cache[:size]
-		clear(s.cache)
+	if s.memo == nil {
+		s.memo = make(map[int]*Result)
 	} else {
-		s.cache = make([]atomic.Pointer[Result], size)
+		clear(s.memo)
 	}
 }
 
@@ -75,21 +73,32 @@ func (s *sweepCache) Result() *Result { return s.ResultAt(s.sw.N1, s.sw.N2) }
 
 // ResultAt returns the measures for the sub-switch (n1, n2) with the
 // same per-route classes, computed from the retained lattice on first
-// read and served from the cache afterwards. The returned Result is
+// read and served from the memo afterwards. The returned Result is
 // shared across calls and must not be mutated. Panics outside the
 // solved lattice, same contract as the underlying solvers. Safe for
-// concurrent use, as are Result, WAt and ShadowCost.
+// concurrent use, as are Result, WAt and ShadowCost: two first reads
+// of one point that race may both compute it, but only the first
+// store is kept and both return it.
 func (s *sweepCache) ResultAt(n1, n2 int) *Result {
 	if n1 < 1 || n2 < 1 || n1 > s.sw.N1 || n2 > s.sw.N2 {
 		// Delegate so the panic message names the concrete solver.
 		return s.lat.ResultAt(n1, n2)
 	}
-	slot := &s.cache[n1*(s.sw.N2+1)+n2]
-	if r := slot.Load(); r != nil {
+	key := n1*(s.sw.N2+1) + n2
+	s.mu.RLock()
+	r, ok := s.memo[key]
+	s.mu.RUnlock()
+	if ok {
 		return r
 	}
-	r := s.lat.ResultAt(n1, n2)
-	slot.Store(r)
+	r = s.lat.ResultAt(n1, n2)
+	s.mu.Lock()
+	if first, ok := s.memo[key]; ok {
+		r = first
+	} else {
+		s.memo[key] = r
+	}
+	s.mu.Unlock()
 	return r
 }
 
@@ -116,9 +125,11 @@ func (s *sweepCache) ShadowCost(weights []float64, r int) float64 {
 }
 
 // SweepSolver is the Algorithm 1 sweep layer: one Eq. 10 lattice fill
-// at the full size, memoized ResultAt reads for every sub-size. Its
-// reads (Result, ResultAt, WAt, ShadowCost) are safe for concurrent
-// use; Reuse is not, and must not overlap any read.
+// at the full size, memoized ResultAt reads for every sub-size. The
+// memo holds only the points read since the last fill. Its reads
+// (Result, ResultAt, WAt, ShadowCost) are safe for concurrent use;
+// Reuse is not, and must not overlap any read. A Result read before
+// Reuse is never written again: Reuse only drops it from the memo.
 type SweepSolver struct {
 	sweepCache
 	solver *Solver
@@ -131,7 +142,9 @@ func NewSweepSolver(sw Switch) (*SweepSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepSolver{sweepCache: newSweepCache(solver.sw, solver), solver: solver}, nil
+	s := &SweepSolver{solver: solver}
+	s.sweepCache.reset(solver.sw, solver)
+	return s, nil
 }
 
 // Reuse re-points the sweep solver at sw, refilling the retained
@@ -155,8 +168,8 @@ func (s *SweepSolver) Reuse(sw Switch, _ ...Options) error {
 
 // MVASweepSolver is the Algorithm 2 twin: one ratio-lattice fill,
 // memoized ResultAt reads. Same semantics as SweepSolver with
-// Algorithm 2's plain-float64 numerics, and the same concurrency
-// contract: concurrent reads, exclusive Reuse.
+// Algorithm 2's plain-float64 numerics, the same sparse memo and the
+// same concurrency contract: concurrent reads, exclusive Reuse.
 type MVASweepSolver struct {
 	sweepCache
 	solver *MVASolver
@@ -169,7 +182,9 @@ func NewMVASweepSolver(sw Switch) (*MVASweepSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MVASweepSolver{sweepCache: newSweepCache(solver.sw, solver), solver: solver}, nil
+	s := &MVASweepSolver{solver: solver}
+	s.sweepCache.reset(solver.sw, solver)
+	return s, nil
 }
 
 // Reuse re-points the sweep solver at sw, refilling the retained ratio

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"xbar/internal/floats"
@@ -235,5 +237,86 @@ func TestSweepRejectsInvalid(t *testing.T) {
 	}
 	if _, err := NewMVASweepSolver(Switch{N1: 4, N2: 4}); err == nil {
 		t.Error("NewMVASweepSolver accepted a switch with no classes")
+	}
+}
+
+// TestSweepMemoHoldsReads pins the sparse memo on both sweep layers at
+// the largest size the load benchmark fills: after k distinct reads
+// (some repeated) of a 192x192 lattice the memo holds exactly k
+// Results, and none after Reuse. A Result read before Reuse is never
+// written again: it stays byte for byte the same while, and after, the
+// solver refills with another switch. Under -race the concurrent
+// reader below catches any write Reuse makes to it.
+func TestSweepMemoHoldsReads(t *testing.T) {
+	const n = 192
+	points := [][2]int{{n, n}, {1, 1}, {n, 1}, {1, n}, {96, 150}, {150, 96}, {7, 191}, {191, 7}, {100, 100}}
+	refill := Switch{N1: 160, N2: 176, Classes: sweepCases[1].classes}
+	for _, alg := range []struct {
+		name string
+		fill func(Switch) (*sweepCache, func(Switch) error, error)
+	}{
+		{"alg1", func(sw Switch) (*sweepCache, func(Switch) error, error) {
+			s, err := NewSweepSolver(sw)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &s.sweepCache, func(sw Switch) error { return s.Reuse(sw) }, nil
+		}},
+		{"alg2", func(sw Switch) (*sweepCache, func(Switch) error, error) {
+			s, err := NewMVASweepSolver(sw)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &s.sweepCache, func(sw Switch) error { return s.Reuse(sw) }, nil
+		}},
+	} {
+		t.Run(alg.name, func(t *testing.T) {
+			memo, reuse, err := alg.fill(Switch{N1: n, N2: n, Classes: sweepCases[3].classes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(memo.memo); got != 0 {
+				t.Fatalf("fresh fill: memo holds %d Results, want 0", got)
+			}
+			for k, p := range points {
+				first := memo.ResultAt(p[0], p[1])
+				if again := memo.ResultAt(p[0], p[1]); again != first {
+					t.Errorf("second read of (%d, %d) returned a different Result", p[0], p[1])
+				}
+				if got := len(memo.memo); got != k+1 {
+					t.Fatalf("after %d distinct reads the memo holds %d Results", k+1, got)
+				}
+			}
+			memo.Result()
+			memo.WAt([]float64{1, 1, 1}, 100, 100)
+			if got := len(memo.memo); got != len(points) {
+				t.Errorf("re-reads grew the memo to %d Results, want %d", got, len(points))
+			}
+
+			old := memo.ResultAt(96, 150)
+			want := fmt.Sprintf("%+v", *old)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := fmt.Sprintf("%+v", *old); got != want {
+					t.Errorf("Result read before Reuse changed during the refill:\n got %s\nwant %s", got, want)
+				}
+			}()
+			if err := reuse(refill); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(memo.memo); got != 0 {
+				t.Errorf("after Reuse the memo holds %d Results, want 0", got)
+			}
+			fresh := memo.ResultAt(96, 150)
+			wg.Wait()
+			if fresh == old {
+				t.Error("Reuse served a Result of the previous fill")
+			}
+			if got := fmt.Sprintf("%+v", *old); got != want {
+				t.Errorf("Result read before Reuse changed after the refill:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

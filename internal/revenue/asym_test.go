@@ -17,7 +17,13 @@ func asymTestSwitch(n int) core.Switch {
 	)
 }
 
+// relErr is |got - want| / |want|, or |got| against a zero want. A NaN
+// operand or an infinite want reads +Inf, so every e > tol check
+// rejects it: GradientBetaMu reports an invalid perturbation as NaN.
 func relErr(got, want float64) float64 {
+	if math.IsNaN(got) || math.IsNaN(want) || math.IsInf(want, 0) {
+		return math.Inf(1)
+	}
 	if want == 0 { //lint:allow floatcmp guard before dividing
 		return math.Abs(got)
 	}

@@ -6,16 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-)
 
-func almostEqual(a, b, relTol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= relTol*s
-}
+	"xbar/internal/floats"
+)
 
 func TestZeroValueIsZero(t *testing.T) {
 	var n Number
@@ -121,7 +114,7 @@ func TestAgainstBigFloat(t *testing.T) {
 		}
 		got := n.Float64()
 		want, _ := b.Float64()
-		if !almostEqual(got, want, 1e-10) {
+		if !floats.WithinRel(got, want, 1e-10) {
 			t.Fatalf("trial %d: scale=%v big=%v", trial, got, want)
 		}
 	}
@@ -141,12 +134,12 @@ func TestFarBelowUnderflow(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		back = back.MulFloat(1000)
 	}
-	if got := back.Float64(); !almostEqual(got, 1, 1e-9) {
+	if got := back.Float64(); !floats.WithinRel(got, 1, 1e-9) {
 		t.Errorf("round trip through 10^-6000 = %v, want 1", got)
 	}
 	// Ratios of two far-underflowed values are exact.
 	a := tiny.MulFloat(3)
-	if got := a.Ratio(tiny); !almostEqual(got, 3, 1e-12) {
+	if got := a.Ratio(tiny); !floats.WithinRel(got, 3, 1e-12) {
 		t.Errorf("ratio of tiny values = %v, want 3", got)
 	}
 }
@@ -155,14 +148,14 @@ func TestFromLog(t *testing.T) {
 	cases := []float64{0, 1, -1, 10, -700, 700, -50000, 50000}
 	for _, x := range cases {
 		n := FromLog(x)
-		if got := n.Log(); !almostEqual(got, x, 1e-9) && math.Abs(got-x) > 1e-9 {
+		if got := n.Log(); !floats.WithinRel(got, x, 1e-9) && math.Abs(got-x) > 1e-9 {
 			t.Errorf("FromLog(%v).Log() = %v", x, got)
 		}
 	}
-	if got := FromLog(0).Float64(); !almostEqual(got, 1, 1e-12) {
+	if got := FromLog(0).Float64(); !floats.WithinRel(got, 1, 1e-12) {
 		t.Errorf("FromLog(0) = %v, want 1", got)
 	}
-	if got := FromLog(math.Log(42)).Float64(); !almostEqual(got, 42, 1e-12) {
+	if got := FromLog(math.Log(42)).Float64(); !floats.WithinRel(got, 42, 1e-12) {
 		t.Errorf("FromLog(ln 42) = %v, want 42", got)
 	}
 }
@@ -202,7 +195,7 @@ func TestAddAbsorbsNegligible(t *testing.T) {
 	huge := FromLog(5000)
 	one := FromFloat64(1)
 	sum := huge.Add(one)
-	if got, want := sum.Log(), huge.Log(); !almostEqual(got, want, 1e-12) {
+	if got, want := sum.Log(), huge.Log(); !floats.WithinRel(got, want, 1e-12) {
 		t.Errorf("huge + 1 changed the value: %v vs %v", got, want)
 	}
 }
@@ -219,7 +212,7 @@ func TestAddCommutativeAssociative(t *testing.T) {
 		}
 		l := a.Add(b).Add(c).Float64()
 		r := a.Add(b.Add(c)).Float64()
-		return almostEqual(l, r, 1e-9) || math.Abs(l-r) < 1e-300
+		return floats.WithinRel(l, r, 1e-9) || math.Abs(l-r) < 1e-300
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

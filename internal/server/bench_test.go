@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -105,5 +106,63 @@ func BenchmarkWarmHit(b *testing.B) {
 				serve()
 			}
 		})
+	}
+}
+
+// missFillBody is the i-th BenchmarkMissFill request: a /v1/blocking
+// miss at N1, N2 in 160..192 with two or three classes (Poisson, then
+// Pascal, then a wide Poisson), alternating Algorithm 1 and Algorithm
+// 2. The i-dependent offset on the first class's alpha makes every
+// body a distinct cache key.
+func missFillBody(i int) string {
+	alg := []string{alg1, alg2}[(i/2)%2]
+	classes := fmt.Sprintf(`{"a":1,"alpha":%v,"mu":1},{"a":2,"alpha":0.004,"beta":0.001,"mu":0.5}`, 0.02+float64(i)*1e-9)
+	if i%2 == 1 {
+		classes += `,{"a":3,"alpha":0.0005,"mu":1}`
+	}
+	return fmt.Sprintf(`{"n1":%d,"n2":%d,"algorithm":%q,"classes":[%s]}`, 160+i*7%33, 160+i*13%33, alg, classes)
+}
+
+// BenchmarkMissFill serves a cache miss per iteration through the
+// handler in process: a full lattice fill of a miss-fill-sized model
+// on a recycled solver. The cache holds 4 entries and is filled before
+// the timer starts, so every timed miss evicts an entry into the
+// solver pool and the next miss of that algorithm refills it in place.
+// B/op and allocs/op price what a miss allocates beyond the lattice
+// it recycles.
+func BenchmarkMissFill(b *testing.B) {
+	s, err := New(Config{CacheSize: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const warm = 8
+	bodies := make([]string, warm+b.N)
+	for i := range bodies {
+		bodies[i] = missFillBody(i)
+	}
+	serve := func(body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/blocking", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies[:warm] {
+		serve(body)
+	}
+	misses, recycled := s.metrics.cache.misses.Load(), s.metrics.solversRecycled.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies[warm:] {
+		serve(body)
+	}
+	b.StopTimer()
+	if got := s.metrics.cache.misses.Load() - misses; got != int64(b.N) {
+		b.Fatalf("%d misses in %d requests", got, b.N)
+	}
+	if got := s.metrics.solversRecycled.Load() - recycled; got != int64(b.N) {
+		b.Fatalf("%d recycled fills in %d misses", got, b.N)
 	}
 }

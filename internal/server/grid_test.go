@@ -191,26 +191,3 @@ func TestGridValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestRowsCopyMeasures pins the response-row copy discipline: grid and
-// sweep rows are serialized after their cache entry is released, while
-// the sweep layers memoize ResultAt reads, so a row holding views into
-// the Result would alias a pooled entry's lattice memo past its
-// lifecycle. The rows must carry copies.
-func TestRowsCopyMeasures(t *testing.T) {
-	res, err := core.Solve(paperSwitch(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := []float64{1}
-	row := resultRow(4, 4, res, weights)
-	wantB, wantC := row.Blocking[0], row.Concurrency[0]
-	res.Blocking[0] = -1
-	res.Concurrency[0] = -1
-	if row.Blocking[0] != wantB || row.Concurrency[0] != wantC {
-		t.Errorf("sweep/grid row aliases the Result's measure slices")
-	}
-	if row.W == nil {
-		t.Fatalf("weighted row missing W")
-	}
-}

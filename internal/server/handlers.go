@@ -134,16 +134,6 @@ type ClassResult struct {
 	ErrorBound float64 `json:"error_bound,omitempty"`
 }
 
-// copyFloats clones one measure slice out of a solver Result. The
-// sweep layers memoize ResultAt reads, so a Result read off a cached
-// entry shares its slices with the entry's lattice memo; response
-// documents are encoded after fetch has released the entry, and
-// nothing read off an entry outlives its read, so they carry copies,
-// never views.
-func copyFloats(xs []float64) []float64 {
-	return append([]float64(nil), xs...)
-}
-
 func classResults(spec SwitchSpec, res *core.Result) []ClassResult {
 	out := make([]ClassResult, len(res.Blocking))
 	for i := range out {
@@ -592,21 +582,18 @@ func exactRow(n1, n2 int, res *core.Result, weights []float64, opt *core.Dispatc
 	return row
 }
 
-// resultRow builds one sweep or grid response row. The measure slices
-// are copied out of the (entry-owned, memoized) Result so the row
-// stays valid after the entry is released. (Asymptotic
-// results own their slices, but copying unconditionally keeps the
-// escape rule simple.)
+// resultRow builds one sweep or grid response row. The row shares the
+// Result's measure slices: a memoized Result is never written after
+// the sweep layer stores it (a refill only drops it from the memo), so
+// the row stays valid after its entry is released or recycled.
 func resultRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
 	sr := SweepResult{
 		N1:          n1,
 		N2:          n2,
 		Tier:        res.Tier,
-		Blocking:    copyFloats(res.Blocking),
-		Concurrency: copyFloats(res.Concurrency),
-	}
-	if res.ErrorBound != nil {
-		sr.ErrorBound = copyFloats(res.ErrorBound)
+		Blocking:    res.Blocking,
+		Concurrency: res.Concurrency,
+		ErrorBound:  res.ErrorBound,
 	}
 	if weights != nil {
 		wv := res.Revenue(weights)
