@@ -5,18 +5,10 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 	"xbar/internal/sim"
 	"xbar/internal/statespace"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*s || d <= tol*1e-3
-}
 
 // goldLead is a congested two-class switch where class "lead" is
 // nearly worthless: the setting where trunk reservation should pay.
@@ -41,15 +33,15 @@ func TestUncontrolledMatchesProductForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(ev.Concurrency[r], want.Concurrency[r], 1e-8) {
+		if !floats.Close(ev.Concurrency[r], want.Concurrency[r], 1e-8) {
 			t.Errorf("E[%d] = %v, product form %v", r, ev.Concurrency[r], want.Concurrency[r])
 		}
 		// Poisson classes: call blocking equals time blocking.
-		if !almostEqual(ev.CallBlocking[r], want.Blocking[r], 1e-8) {
+		if !floats.Close(ev.CallBlocking[r], want.Blocking[r], 1e-8) {
 			t.Errorf("call blocking[%d] = %v, product form %v", r, ev.CallBlocking[r], want.Blocking[r])
 		}
 	}
-	if !almostEqual(ev.Revenue, want.Revenue(weights), 1e-8) {
+	if !floats.Close(ev.Revenue, want.Revenue(weights), 1e-8) {
 		t.Errorf("revenue %v, product form %v", ev.Revenue, want.Revenue(weights))
 	}
 }
@@ -70,7 +62,7 @@ func TestZeroLimitSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(ev.Concurrency[0], solo.Concurrency[0], 1e-8) {
+	if !floats.Close(ev.Concurrency[0], solo.Concurrency[0], 1e-8) {
 		t.Errorf("gold E %v, solo product form %v", ev.Concurrency[0], solo.Concurrency[0])
 	}
 }
@@ -118,7 +110,7 @@ func TestFlowBalance(t *testing.T) {
 		for i, k := range chain.States {
 			acceptRate += pi[i] * chain.Rate(k, r, +1)
 		}
-		if want := cl.Mu * meas.Concurrency[r]; !almostEqual(acceptRate, want, 1e-8) {
+		if want := cl.Mu * meas.Concurrency[r]; !floats.Close(acceptRate, want, 1e-8) {
 			t.Errorf("class %d: accept rate %v != mu E = %v", r, acceptRate, want)
 		}
 	}
@@ -214,7 +206,7 @@ func TestOptimizeReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(best.Revenue, check.Revenue, 1e-12) {
+	if !floats.Close(best.Revenue, check.Revenue, 1e-12) {
 		t.Errorf("returned revenue %v does not match re-evaluation %v", best.Revenue, check.Revenue)
 	}
 	if stats.Passes < 2 {

@@ -18,10 +18,10 @@ import (
 // marks every reference-typed argument as released by the call, and
 //
 //	//lint:pooled recv
-//	func (s *SweepSolver) Reuse(sw Switch) error
+//	func (it *item) refill(n int)
 //
 // marks the receiver as recycled in place: values previously derived
-// from it (memoized Results, sub-lattice views) are invalidated, while
+// from it (views of a buffer the call replaces) are invalidated, while
 // the receiver itself stays usable.
 //
 // The analysis is flow-sensitive (may-analysis over the CFG: a

@@ -17,10 +17,12 @@ import (
 //	             + sum_{r in R2} a_r rho_r V(n + 1_i, r) ] / (n_i + 1),
 //	V(m, r)    = Q(m - a_r I) + (beta_r/mu_r) V(m - a_r I, r),
 //
-// with Q = 0 off the non-negative lattice and Q(0) = 1. The whole grid
-// is retained, so measures are available for every sub-switch
+// with Q = 0 off the non-negative lattice and Q(0) = 1. The whole Q
+// grid is retained, so measures are available for every sub-switch
 // (n1, n2) <= (N1, N2) — which is what the revenue analysis and the
-// bursty-class concurrency recursion need.
+// bursty-class concurrency recursion need. The V lattices feed only
+// the Q recursion, so they live in shared scratch for the length of
+// one fill (scratch.go).
 //
 // Arithmetic uses the scale package: this is the dynamic scaling of
 // Section 6 applied at every step, letting the recursion run far past
@@ -38,8 +40,6 @@ type Solver struct {
 	// cells with n1 >= maxA and n2 >= maxA every class displacement
 	// lands on the lattice and the fill can skip the per-class guards.
 	maxA int
-	// wScratch recycles the bursty W lattices across Reuse calls.
-	wScratch [][]scale.Acc
 	// inv caches 1/n for n = 1..max(N1, N2): the fill multiplies by
 	// the reciprocal of the cell count (scale.Acc.MulNorm) instead of
 	// dividing, one rounding more than the exact division and ~15
@@ -54,8 +54,8 @@ type poissonTerm struct {
 	coef scale.Number // a_r * rho_r
 }
 
-// burstyTerm is one R2 class's hoisted fill constants plus its retained
-// W lattice, the Eq. 9 V lattice pre-scaled by the class coefficient:
+// burstyTerm is one R2 class's hoisted fill constants plus its W
+// lattice, the Eq. 9 V lattice pre-scaled by the class coefficient:
 //
 //	W(m, r) = a_r rho_r V(m, r)
 //	        = a_r rho_r Q(m - a_r I) + (beta_r/mu_r) W(m - a_r I, r).
@@ -65,13 +65,16 @@ type poissonTerm struct {
 // is computed anyway; the Q accumulation then adds W verbatim. The
 // cells are stored as raw scale.Acc working values — never normalized,
 // which the fill's hot path is allowed because a W chain grows by at
-// most one binary order per diagonal step (see scale.Acc).
+// most one binary order per diagonal step (see scale.Acc). The lattice
+// is accScratch's for the length of one fill: w views the buffer in
+// box between load and release, and both are nil otherwise.
 type burstyTerm struct {
 	a      int
 	off    int          // lattice offset of the (a, a) displacement
 	coef   scale.Number // a_r * rho_r
 	betaMu scale.Number // beta_r / mu_r
 	w      []scale.Acc
+	box    *[]scale.Acc
 }
 
 // NewSolver validates the switch and fills the Q lattice.
@@ -84,11 +87,23 @@ func NewSolver(sw Switch) (*Solver, error) {
 }
 
 // Reuse re-points the solver at sw and refills the lattice, recycling
-// the Q and V buffers whenever their capacity allows. This is the
-// allocation-free path for repeated solves of same-size systems — the
+// the Q buffer whenever its capacity allows and taking the W lattices
+// from the shared fill scratch. This is the allocation-free path for
+// repeated solves of same-size systems (TestReuseAllocs) — the
 // reduced-load fixed point (internal/network) and the perturbed
 // re-solves of the revenue gradients run through it.
 func (s *Solver) Reuse(sw Switch) error {
+	if err := s.load(sw); err != nil {
+		return err
+	}
+	s.fill()
+	s.release()
+	return nil
+}
+
+// load validates sw, sizes the Q lattice for it and prepares the fill:
+// the first of Reuse's three steps, load, fill and release.
+func (s *Solver) load(sw Switch) error {
 	if err := sw.Validate(); err != nil {
 		return err
 	}
@@ -100,12 +115,11 @@ func (s *Solver) Reuse(sw Switch) error {
 		s.q = make([]scale.Number, size)
 	}
 	s.prepare(size)
-	s.fill()
 	return nil
 }
 
-// prepare rebuilds the hoisted per-class terms, recycling previously
-// allocated V lattices.
+// prepare rebuilds the hoisted per-class terms and takes one W lattice
+// of size cells per bursty class from the fill scratch.
 func (s *Solver) prepare(size int) {
 	s.poisson = s.poisson[:0]
 	s.bursty = s.bursty[:0]
@@ -116,7 +130,6 @@ func (s *Solver) prepare(size int) {
 		}
 	}
 	n2w := s.sw.N2 + 1
-	wUsed := 0
 	s.maxA = 0
 	for _, c := range s.sw.Classes {
 		s.maxA = max(s.maxA, c.A)
@@ -128,24 +141,25 @@ func (s *Solver) prepare(size int) {
 			})
 			continue
 		}
-		if wUsed == len(s.wScratch) {
-			s.wScratch = append(s.wScratch, nil)
-		}
-		w := s.wScratch[wUsed]
-		if cap(w) >= size {
-			w = w[:size]
-		} else {
-			w = make([]scale.Acc, size)
-		}
-		s.wScratch[wUsed] = w
-		wUsed++
+		box := accScratch.take(size)
 		s.bursty = append(s.bursty, burstyTerm{
 			a:      c.A,
 			off:    c.A*n2w + c.A,
 			coef:   scale.FromFloat64(float64(c.A) * c.Rho()),
 			betaMu: scale.FromFloat64(c.BetaMu()),
-			w:      w,
+			w:      *box,
+			box:    box,
 		})
+	}
+}
+
+// release hands the W lattices back to the fill scratch. The filled
+// solver keeps Q, all its reads need.
+func (s *Solver) release() {
+	for j := range s.bursty {
+		b := &s.bursty[j]
+		accScratch.give(b.box)
+		b.w, b.box = nil, nil
 	}
 }
 

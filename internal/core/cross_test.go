@@ -4,16 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-)
 
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*s || diff <= tol*1e-3
-}
+	"xbar/internal/floats"
+)
 
 // erlangSwitch is the hand-checkable 1x1 case: states {0, 1},
 // G = 1 + rho, non-blocking 1/(1+rho), E = rho/(1+rho).
@@ -33,13 +26,13 @@ func TestOneByOnePoisson(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", solve.name, err)
 		}
-		if got, want := res.NonBlocking[0], 1/(1+rho); !almostEqual(got, want, 1e-12) {
+		if got, want := res.NonBlocking[0], 1/(1+rho); !floats.Close(got, want, 1e-12) {
 			t.Errorf("%s: NonBlocking = %v, want %v", solve.name, got, want)
 		}
-		if got, want := res.Concurrency[0], rho/(1+rho); !almostEqual(got, want, 1e-12) {
+		if got, want := res.Concurrency[0], rho/(1+rho); !floats.Close(got, want, 1e-12) {
 			t.Errorf("%s: Concurrency = %v, want %v", solve.name, got, want)
 		}
-		if got, want := res.LogG, math.Log(1+rho); !almostEqual(got, want, 1e-12) {
+		if got, want := res.LogG, math.Log(1+rho); !floats.Close(got, want, 1e-12) {
 			t.Errorf("%s: LogG = %v, want %v", solve.name, got, want)
 		}
 	}
@@ -70,10 +63,10 @@ func TestPaperTable2SmallN(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s N=1: %v", solve.name, err)
 		}
-		if got, want := res1.Blocking[0], 0.00239425; !almostEqual(got, want, 1e-5) {
+		if got, want := res1.Blocking[0], 0.00239425; !floats.Close(got, want, 1e-5) {
 			t.Errorf("%s N=1: blocking = %.8f, want %v", solve.name, got, want)
 		}
-		if got, want := res1.Revenue(weights), 0.00119725; !almostEqual(got, want, 1e-5) {
+		if got, want := res1.Revenue(weights), 0.00119725; !floats.Close(got, want, 1e-5) {
 			t.Errorf("%s N=1: W = %.8f, want %v", solve.name, got, want)
 		}
 
@@ -89,13 +82,13 @@ func TestPaperTable2SmallN(t *testing.T) {
 		// value (hand-derived: 1 - G(1,1)/G(2,2) with
 		// G(1,1) = 1.0012, G(2,2) = 1.0048036) and require closeness
 		// to the paper's number.
-		if got, want := res2.Blocking[0], 0.0036036/1.0048036; !almostEqual(got, want, 1e-9) {
+		if got, want := res2.Blocking[0], 0.0036036/1.0048036; !floats.Close(got, want, 1e-9) {
 			t.Errorf("%s N=2: blocking = %.10f, want exact %v", solve.name, got, want)
 		}
-		if got, paper := res2.Blocking[0], 0.00358566; !almostEqual(got, paper, 5e-3) {
+		if got, paper := res2.Blocking[0], 0.00358566; !floats.Close(got, paper, 5e-3) {
 			t.Errorf("%s N=2: blocking = %.8f, too far from paper %v", solve.name, got, paper)
 		}
-		if got, paper := res2.Revenue(weights), 0.00239163; !almostEqual(got, paper, 5e-3) {
+		if got, paper := res2.Revenue(weights), 0.00239163; !floats.Close(got, paper, 5e-3) {
 			t.Errorf("%s N=2: W = %.8f, too far from paper %v", solve.name, got, paper)
 		}
 	}
@@ -151,16 +144,16 @@ func TestCrossValidation(t *testing.T) {
 			t.Fatalf("trial %d: algorithm1: %v", trial, err)
 		}
 		for _, other := range []*Result{conv, alg1} {
-			if !almostEqual(other.LogG, direct.LogG, 1e-9) {
+			if !floats.Close(other.LogG, direct.LogG, 1e-9) {
 				t.Errorf("trial %d: %s LogG = %v, direct = %v (switch %+v)",
 					trial, other.Method, other.LogG, direct.LogG, sw)
 			}
 			for r := range sw.Classes {
-				if !almostEqual(other.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
+				if !floats.Close(other.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
 					t.Errorf("trial %d: %s NonBlocking[%d] = %v, direct = %v (switch %+v)",
 						trial, other.Method, r, other.NonBlocking[r], direct.NonBlocking[r], sw)
 				}
-				if !almostEqual(other.Concurrency[r], direct.Concurrency[r], 1e-9) {
+				if !floats.Close(other.Concurrency[r], direct.Concurrency[r], 1e-9) {
 					t.Errorf("trial %d: %s Concurrency[%d] = %v, direct = %v (switch %+v)",
 						trial, other.Method, r, other.Concurrency[r], direct.Concurrency[r], sw)
 				}
@@ -190,14 +183,14 @@ func TestOccupancySumsToOne(t *testing.T) {
 			sum += p
 			mean += float64(s) * p
 		}
-		if !almostEqual(sum, 1, 1e-10) {
+		if !floats.Close(sum, 1, 1e-10) {
 			t.Errorf("occupancy sums to %v", sum)
 		}
 		busy := 0.0
 		for r, c := range sw.Classes {
 			busy += float64(c.A) * res.Concurrency[r]
 		}
-		if !almostEqual(mean, busy, 1e-9) {
+		if !floats.Close(mean, busy, 1e-9) {
 			t.Errorf("occupancy mean %v != sum a_r E_r %v", mean, busy)
 		}
 	}
@@ -219,10 +212,10 @@ func TestNonSquareSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(alg1.NonBlocking[r], direct.NonBlocking[r], 1e-10) {
+		if !floats.Close(alg1.NonBlocking[r], direct.NonBlocking[r], 1e-10) {
 			t.Errorf("NonBlocking[%d]: alg1 %v direct %v", r, alg1.NonBlocking[r], direct.NonBlocking[r])
 		}
-		if !almostEqual(alg1.Concurrency[r], direct.Concurrency[r], 1e-10) {
+		if !floats.Close(alg1.Concurrency[r], direct.Concurrency[r], 1e-10) {
 			t.Errorf("Concurrency[%d]: alg1 %v direct %v", r, alg1.Concurrency[r], direct.Concurrency[r])
 		}
 	}
@@ -262,7 +255,7 @@ func TestUnscaledMatchesScaledSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(u.NonBlocking[r], s.NonBlocking[r], 1e-9) {
+		if !floats.Close(u.NonBlocking[r], s.NonBlocking[r], 1e-9) {
 			t.Errorf("NonBlocking[%d]: unscaled %v scaled %v", r, u.NonBlocking[r], s.NonBlocking[r])
 		}
 	}
@@ -302,10 +295,10 @@ func TestResultAtMatchesFreshSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(sub.NonBlocking[r], fresh.NonBlocking[r], 1e-12) {
+		if !floats.Close(sub.NonBlocking[r], fresh.NonBlocking[r], 1e-12) {
 			t.Errorf("NonBlocking[%d]: lattice %v fresh %v", r, sub.NonBlocking[r], fresh.NonBlocking[r])
 		}
-		if !almostEqual(sub.Concurrency[r], fresh.Concurrency[r], 1e-12) {
+		if !floats.Close(sub.Concurrency[r], fresh.Concurrency[r], 1e-12) {
 			t.Errorf("Concurrency[%d]: lattice %v fresh %v", r, sub.Concurrency[r], fresh.Concurrency[r])
 		}
 	}
@@ -344,13 +337,13 @@ func TestStateDependentServiceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !almostEqual(resA.NonBlocking[0], resB.NonBlocking[0], 1e-10) {
+	if !floats.Close(resA.NonBlocking[0], resB.NonBlocking[0], 1e-10) {
 		t.Errorf("NonBlocking: state-dep service %v, BPP %v", resA.NonBlocking[0], resB.NonBlocking[0])
 	}
-	if !almostEqual(resA.Concurrency[0], resB.Concurrency[0], 1e-10) {
+	if !floats.Close(resA.Concurrency[0], resB.Concurrency[0], 1e-10) {
 		t.Errorf("Concurrency: state-dep service %v, BPP %v", resA.Concurrency[0], resB.Concurrency[0])
 	}
-	if !almostEqual(resA.LogG-resB.LogG, resA.LogG-resB.LogG, 1) {
+	if !floats.Close(resA.LogG-resB.LogG, resA.LogG-resB.LogG, 1) {
 		t.Error("unreachable")
 	}
 }
@@ -476,12 +469,12 @@ func TestClassMarginals(t *testing.T) {
 			for j, p := range conv.ClassMarginals[r] {
 				sum += p
 				want := direct[r][j] / chainSum
-				if !almostEqual(p, want, 1e-8) {
+				if !floats.Close(p, want, 1e-8) {
 					t.Errorf("trial %d class %d: P(k=%d) = %v, direct %v (switch %+v)",
 						trial, r, j, p, want, sw)
 				}
 			}
-			if !almostEqual(sum, 1, 1e-9) {
+			if !floats.Close(sum, 1, 1e-9) {
 				t.Errorf("trial %d class %d: marginal sums to %v", trial, r, sum)
 			}
 		}
@@ -533,11 +526,11 @@ func TestResultAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Throughput(0), res.Concurrency[0]*2; !almostEqual(got, want, 1e-12) {
+	if got, want := res.Throughput(0), res.Concurrency[0]*2; !floats.Close(got, want, 1e-12) {
 		t.Errorf("Throughput = %v, want %v", got, want)
 	}
 	wantUtil := (res.Concurrency[0] + 2*res.Concurrency[1]) / 3
-	if got := res.Utilization(); !almostEqual(got, wantUtil, 1e-12) {
+	if got := res.Utilization(); !floats.Close(got, wantUtil, 1e-12) {
 		t.Errorf("Utilization = %v, want %v", got, wantUtil)
 	}
 	s := res.String()
@@ -640,10 +633,10 @@ func TestStateDependentServiceConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(viaBPP.NonBlocking[0], literal.NonBlocking[0], 1e-10) {
+	if !floats.Close(viaBPP.NonBlocking[0], literal.NonBlocking[0], 1e-10) {
 		t.Errorf("NonBlocking: BPP dual %v, literal %v", viaBPP.NonBlocking[0], literal.NonBlocking[0])
 	}
-	if !almostEqual(viaBPP.Concurrency[0], literal.Concurrency[0], 1e-10) {
+	if !floats.Close(viaBPP.Concurrency[0], literal.Concurrency[0], 1e-10) {
 		t.Errorf("Concurrency: BPP dual %v, literal %v", viaBPP.Concurrency[0], literal.Concurrency[0])
 	}
 }

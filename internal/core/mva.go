@@ -32,11 +32,17 @@ import (
 // inconsistent with the definition in Eq. 17; the form above is the one
 // that follows from Eq. 17 and makes Algorithm 2 agree with
 // Algorithm 1 — see TestMVAMatchesAlgorithm1.)
+//
+// Only F_1 and F_2 are retained: the D grids feed only the F recursion,
+// so they live in shared scratch for the length of one fill
+// (scratch.go).
 type MVASolver struct {
 	sw     Switch
 	f1, f2 []float64
-	// d[j] is the D grid for the j-th bursty class.
+	// d[j] is the D grid for the j-th bursty class, a view of the
+	// floatScratch buffer in dBox[j] between load and release.
 	d       [][]float64
+	dBox    []*[]float64
 	burstyR []int // class index of each bursty class
 	// burstyOf maps every class index to its bursty slot, or -1 for
 	// Poisson classes. Precomputed in NewMVASolver so solveF's
@@ -69,9 +75,22 @@ func NewMVASolver(sw Switch) (*MVASolver, error) {
 }
 
 // Reuse re-points the solver at sw and refills the ratio lattices,
-// recycling the F and D buffers whenever their capacity allows — the
-// allocation-free path for repeated solves of same-size systems.
+// recycling the F buffers whenever their capacity allows and taking
+// the D grids from the shared fill scratch — the allocation-free path
+// for repeated solves of same-size systems (TestReuseAllocs).
 func (s *MVASolver) Reuse(sw Switch) error {
+	if err := s.load(sw); err != nil {
+		return err
+	}
+	s.fill()
+	s.release()
+	return nil
+}
+
+// load validates sw, sizes the F lattices for it, rebuilds the hoisted
+// per-class terms and takes one D grid per bursty class from the fill
+// scratch: the first of Reuse's three steps, load, fill and release.
+func (s *MVASolver) load(sw Switch) error {
 	if err := sw.Validate(); err != nil {
 		return err
 	}
@@ -87,7 +106,8 @@ func (s *MVASolver) Reuse(sw Switch) error {
 	s.burstyR = s.burstyR[:0]
 	s.burstyOf = s.burstyOf[:0]
 	s.terms = s.terms[:0]
-	dUsed := 0
+	s.d = s.d[:0]
+	s.dBox = s.dBox[:0]
 	s.maxA = 0
 	for r, c := range sw.Classes {
 		s.maxA = max(s.maxA, c.A)
@@ -100,15 +120,21 @@ func (s *MVASolver) Reuse(sw Switch) error {
 		}
 		s.burstyOf = append(s.burstyOf, len(s.burstyR))
 		s.burstyR = append(s.burstyR, r)
-		if dUsed == len(s.d) {
-			s.d = append(s.d, nil)
-		}
-		s.d[dUsed] = grow(s.d[dUsed])
-		dUsed++
+		box := floatScratch.take(size)
+		s.d = append(s.d, *box)
+		s.dBox = append(s.dBox, box)
 	}
-	s.d = s.d[:dUsed]
-	s.fill()
 	return nil
+}
+
+// release hands the D grids back to the fill scratch. The filled
+// solver keeps F_1 and F_2, all its reads need.
+func (s *MVASolver) release() {
+	for j, box := range s.dBox {
+		floatScratch.give(box)
+		s.d[j], s.dBox[j] = nil, nil
+	}
+	s.d, s.dBox = s.d[:0], s.dBox[:0]
 }
 
 // SolveMVA computes the performance measures for sw with Algorithm 2.

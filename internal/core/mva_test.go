@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"xbar/internal/floats"
 )
 
 // TestMVAOneByOne pins the smallest closed-form case.
@@ -13,10 +15,10 @@ func TestMVAOneByOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.NonBlocking[0], 1/(1+rho); !almostEqual(got, want, 1e-12) {
+	if got, want := res.NonBlocking[0], 1/(1+rho); !floats.Close(got, want, 1e-12) {
 		t.Errorf("NonBlocking = %v, want %v", got, want)
 	}
-	if got, want := res.Concurrency[0], rho/(1+rho); !almostEqual(got, want, 1e-12) {
+	if got, want := res.Concurrency[0], rho/(1+rho); !floats.Close(got, want, 1e-12) {
 		t.Errorf("Concurrency = %v, want %v", got, want)
 	}
 }
@@ -37,15 +39,15 @@ func TestMVAMatchesAlgorithm1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: algorithm2: %v", trial, err)
 		}
-		if !almostEqual(mva.LogG, alg1.LogG, 1e-9) {
+		if !floats.Close(mva.LogG, alg1.LogG, 1e-9) {
 			t.Errorf("trial %d: LogG mva %v alg1 %v (switch %+v)", trial, mva.LogG, alg1.LogG, sw)
 		}
 		for r := range sw.Classes {
-			if !almostEqual(mva.NonBlocking[r], alg1.NonBlocking[r], 1e-9) {
+			if !floats.Close(mva.NonBlocking[r], alg1.NonBlocking[r], 1e-9) {
 				t.Errorf("trial %d: NonBlocking[%d] mva %v alg1 %v (switch %+v)",
 					trial, r, mva.NonBlocking[r], alg1.NonBlocking[r], sw)
 			}
-			if !almostEqual(mva.Concurrency[r], alg1.Concurrency[r], 1e-9) {
+			if !floats.Close(mva.Concurrency[r], alg1.Concurrency[r], 1e-9) {
 				t.Errorf("trial %d: Concurrency[%d] mva %v alg1 %v (switch %+v)",
 					trial, r, mva.Concurrency[r], alg1.Concurrency[r], sw)
 			}
@@ -75,14 +77,14 @@ func TestMVALargeSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(mva.NonBlocking[r], alg1.NonBlocking[r], 1e-8) {
+		if !floats.Close(mva.NonBlocking[r], alg1.NonBlocking[r], 1e-8) {
 			t.Errorf("NonBlocking[%d] mva %v alg1 %v", r, mva.NonBlocking[r], alg1.NonBlocking[r])
 		}
-		if !almostEqual(mva.Concurrency[r], alg1.Concurrency[r], 1e-8) {
+		if !floats.Close(mva.Concurrency[r], alg1.Concurrency[r], 1e-8) {
 			t.Errorf("Concurrency[%d] mva %v alg1 %v", r, mva.Concurrency[r], alg1.Concurrency[r])
 		}
 	}
-	if !almostEqual(mva.LogG, alg1.LogG, 1e-9) {
+	if !floats.Close(mva.LogG, alg1.LogG, 1e-9) {
 		t.Errorf("LogG mva %v alg1 %v", mva.LogG, alg1.LogG)
 	}
 }
@@ -103,10 +105,10 @@ func TestMVAResultAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range sw.Classes {
-		if !almostEqual(sub.NonBlocking[r], fresh.NonBlocking[r], 1e-10) {
+		if !floats.Close(sub.NonBlocking[r], fresh.NonBlocking[r], 1e-10) {
 			t.Errorf("NonBlocking[%d]: lattice %v fresh %v", r, sub.NonBlocking[r], fresh.NonBlocking[r])
 		}
-		if !almostEqual(sub.Concurrency[r], fresh.Concurrency[r], 1e-10) {
+		if !floats.Close(sub.Concurrency[r], fresh.Concurrency[r], 1e-10) {
 			t.Errorf("Concurrency[%d]: lattice %v fresh %v", r, sub.Concurrency[r], fresh.Concurrency[r])
 		}
 	}
@@ -152,11 +154,11 @@ func TestMVAExtremeGeometries(t *testing.T) {
 		}
 		for r := range sw.Classes {
 			for _, got := range []*Result{mva, alg1} {
-				if !almostEqual(got.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
+				if !floats.Close(got.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
 					t.Errorf("case %d class %d: %s NonBlocking %v, direct %v",
 						i, r, got.Method, got.NonBlocking[r], direct.NonBlocking[r])
 				}
-				if !almostEqual(got.Concurrency[r], direct.Concurrency[r], 1e-9) {
+				if !floats.Close(got.Concurrency[r], direct.Concurrency[r], 1e-9) {
 					t.Errorf("case %d class %d: %s Concurrency %v, direct %v",
 						i, r, got.Method, got.Concurrency[r], direct.Concurrency[r])
 				}
@@ -186,10 +188,10 @@ func TestManyClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := range sw.Classes {
-			if !almostEqual(got.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
+			if !floats.Close(got.NonBlocking[r], direct.NonBlocking[r], 1e-9) {
 				t.Errorf("%s NonBlocking[%d] %v, direct %v", got.Method, r, got.NonBlocking[r], direct.NonBlocking[r])
 			}
-			if !almostEqual(got.Concurrency[r], direct.Concurrency[r], 1e-9) {
+			if !floats.Close(got.Concurrency[r], direct.Concurrency[r], 1e-9) {
 				t.Errorf("%s Concurrency[%d] %v, direct %v", got.Method, r, got.Concurrency[r], direct.Concurrency[r])
 			}
 		}
@@ -266,7 +268,7 @@ func TestMVASolverReuse(t *testing.T) {
 		}
 		got := s.Result()
 		for r := range sw.Classes {
-			if !almostEqual(got.Blocking[r], fresh.Blocking[r], 1e-14) {
+			if !floats.Close(got.Blocking[r], fresh.Blocking[r], 1e-14) {
 				t.Errorf("case %d Blocking[%d]: reuse %v fresh %v", i, r, got.Blocking[r], fresh.Blocking[r])
 			}
 		}
@@ -294,7 +296,7 @@ func TestSolverReuse(t *testing.T) {
 		}
 		got := s.Result()
 		for r := range sw.Classes {
-			if !almostEqual(got.Blocking[r], fresh.Blocking[r], 1e-14) {
+			if !floats.Close(got.Blocking[r], fresh.Blocking[r], 1e-14) {
 				t.Errorf("case %d Blocking[%d]: reuse %v fresh %v", i, r, got.Blocking[r], fresh.Blocking[r])
 			}
 		}

@@ -63,16 +63,34 @@ func maxprocs(t *testing.T, n int) {
 	}
 }
 
-// sequentialSolver fills sw's Algorithm 1 lattice with one
-// whole-lattice fillBlock, the sequential schedule, at any size.
-func sequentialSolver(t *testing.T, sw Switch) *Solver {
+// loadSolver runs the load step of Reuse on a new solver: the Q
+// lattice is sized and the W lattices are taken from the fill scratch,
+// for the caller to fill, compare and release.
+func loadSolver(t *testing.T, sw Switch) *Solver {
 	t.Helper()
-	if err := sw.Validate(); err != nil {
+	s := &Solver{}
+	if err := s.load(sw); err != nil {
 		t.Fatal(err)
 	}
-	size := (sw.N1 + 1) * (sw.N2 + 1)
-	s := &Solver{sw: sw, q: make([]scale.Number, size)}
-	s.prepare(size)
+	return s
+}
+
+// loadMVASolver is loadSolver for Algorithm 2: F sized, D grids taken.
+func loadMVASolver(t *testing.T, sw Switch) *MVASolver {
+	t.Helper()
+	s := &MVASolver{}
+	if err := s.load(sw); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sequentialSolver fills sw's Algorithm 1 lattice with one
+// whole-lattice fillBlock, the sequential schedule, at any size,
+// keeping its W lattices for the caller to compare and release.
+func sequentialSolver(t *testing.T, sw Switch) *Solver {
+	t.Helper()
+	s := loadSolver(t, sw)
 	s.fillBlock(0, sw.N1+1, 0, sw.N2+1)
 	return s
 }
@@ -117,10 +135,8 @@ func TestParallelFillBitIdenticalAlg1(t *testing.T) {
 			for _, w := range []int{1, 2, 4, 8} {
 				for _, tile := range []int{1, 8, 64, full} {
 					t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, w, tile), func(t *testing.T) {
-						par, err := NewSolver(sw)
-						if err != nil {
-							t.Fatal(err)
-						}
+						par := loadSolver(t, sw)
+						defer par.release()
 						refillWavefront(par, w, tile)
 						assertSameFill(t, par, ref)
 						if got := par.Result(); !reflect.DeepEqual(got, refRes) {
@@ -129,6 +145,7 @@ func TestParallelFillBitIdenticalAlg1(t *testing.T) {
 					})
 				}
 			}
+			ref.release()
 		}
 	}
 	// Above the cutoff the public entry points pick the wavefront.
@@ -141,10 +158,10 @@ func TestParallelFillBitIdenticalAlg1(t *testing.T) {
 			t.Fatalf("fill plan for 520x530 is sequential, want a wavefront")
 		}
 		ref := sequentialSolver(t, sw)
-		par, err := NewSolver(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		defer ref.release()
+		par := loadSolver(t, sw)
+		defer par.release()
+		par.fill()
 		assertSameFill(t, par, ref)
 		res, err := Solve(sw)
 		if err != nil {
@@ -165,19 +182,15 @@ func TestParallelFillBitIdenticalMVA(t *testing.T) {
 	for _, tc := range parallelFillCases {
 		for _, sh := range parallelFillShapes {
 			sw := Switch{N1: sh.n1, N2: sh.n2, Classes: tc.classes}
-			ref, err := NewMVASolver(sw)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := loadMVASolver(t, sw)
+			ref.fill()
 			refRes := ref.Result()
 			full := max(sh.n1, sh.n2) + 1
 			for _, w := range []int{1, 2, 4, 8} {
 				for _, tile := range []int{1, 8, 64, full} {
 					t.Run(fmt.Sprintf("%s/%dx%d/w%d_t%d", tc.name, sh.n1, sh.n2, w, tile), func(t *testing.T) {
-						par, err := NewMVASolver(sw)
-						if err != nil {
-							t.Fatal(err)
-						}
+						par := loadMVASolver(t, sw)
+						defer par.release()
 						for _, lat := range append([][]float64{par.f1, par.f2}, par.d...) {
 							for i := range lat {
 								lat[i] = math.NaN()
@@ -198,13 +211,15 @@ func TestParallelFillBitIdenticalMVA(t *testing.T) {
 					})
 				}
 			}
+			ref.release()
 		}
 	}
 }
 
 // TestParallelFillReuse checks that one recycled solver picks the
-// schedule per fill: Reuse across the cutoff and back stays
-// bit-identical to a fresh sequential fill at every size.
+// schedule per fill: Reuse's load, fill and release across the cutoff
+// and back stay bit-identical to a fresh sequential fill at every
+// size, the W lattices compared before each release.
 func TestParallelFillReuse(t *testing.T) {
 	maxprocs(t, 4)
 	classes := parallelFillCases[2].classes
@@ -214,11 +229,14 @@ func TestParallelFillReuse(t *testing.T) {
 	}
 	for _, sh := range []struct{ n1, n2 int }{{520, 530}, {28, 40}, {600, 520}, {9, 9}} {
 		sw := Switch{N1: sh.n1, N2: sh.n2, Classes: classes}
-		if err := s.Reuse(sw); err != nil {
+		if err := s.load(sw); err != nil {
 			t.Fatal(err)
 		}
+		s.fill()
 		ref := sequentialSolver(t, sw)
 		assertSameFill(t, s, ref)
+		s.release()
+		ref.release()
 		if got, want := s.Result(), ref.Result(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Reuse(%dx%d) Result differs from sequential", sh.n1, sh.n2)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"xbar/internal/combin"
+	"xbar/internal/floats"
 )
 
 // switchFromSeed deterministically derives a random small switch from
@@ -30,12 +31,12 @@ func TestPropertySymmetry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !almostEqual(a.LogG, b.LogG, 1e-10) {
+		if !floats.Close(a.LogG, b.LogG, 1e-10) {
 			return false
 		}
 		for r := range sw.Classes {
-			if !almostEqual(a.NonBlocking[r], b.NonBlocking[r], 1e-10) ||
-				!almostEqual(a.Concurrency[r], b.Concurrency[r], 1e-10) {
+			if !floats.Close(a.NonBlocking[r], b.NonBlocking[r], 1e-10) ||
+				!floats.Close(a.Concurrency[r], b.Concurrency[r], 1e-10) {
 				return false
 			}
 		}
@@ -98,8 +99,8 @@ func TestPropertyTimeRescaling(t *testing.T) {
 			return false
 		}
 		for r := range sw.Classes {
-			if !almostEqual(a.NonBlocking[r], b.NonBlocking[r], 1e-9) ||
-				!almostEqual(a.Concurrency[r], b.Concurrency[r], 1e-9) {
+			if !floats.Close(a.NonBlocking[r], b.NonBlocking[r], 1e-9) ||
+				!floats.Close(a.Concurrency[r], b.Concurrency[r], 1e-9) {
 				return false
 			}
 		}
@@ -125,7 +126,7 @@ func TestPropertyPoissonIdentity(t *testing.T) {
 				continue
 			}
 			want := c.Rho() * combin.Perm(sw.N1, c.A) * combin.Perm(sw.N2, c.A) * res.NonBlocking[r]
-			if !almostEqual(res.Concurrency[r], want, 1e-9) {
+			if !floats.Close(res.Concurrency[r], want, 1e-9) {
 				return false
 			}
 		}
@@ -255,7 +256,7 @@ func TestPeakyCapacityParadox(t *testing.T) {
 		t.Errorf("expected the peaky capacity paradox: small %v, big %v",
 			small.Blocking[0], big.Blocking[0])
 	}
-	if !almostEqual(small.Blocking[0], 0.144973, 1e-4) || !almostEqual(big.Blocking[0], 0.207585, 1e-4) {
+	if !floats.Close(small.Blocking[0], 0.144973, 1e-4) || !floats.Close(big.Blocking[0], 0.207585, 1e-4) {
 		t.Errorf("paradox anchors moved: %v, %v", small.Blocking[0], big.Blocking[0])
 	}
 }

@@ -243,40 +243,42 @@ func checkFillAgainstReference(t *testing.T, name string, sw Switch) {
 	if err := sw.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ref1, err := NewSolver(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref1 := loadSolver(t, sw)
+	defer ref1.release()
 	for i := range ref1.q {
 		ref1.q[i] = scale.FromFloat64(math.MaxFloat64)
 	}
-	refFillAlg1(ref1)
-	ref2, err := NewMVASolver(sw)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range ref1.bursty {
+		for i := range b.w {
+			b.w[i].Init(scale.FromFloat64(math.MaxFloat64))
+		}
 	}
-	for i := range ref2.f1 {
-		ref2.f1[i], ref2.f2[i] = math.NaN(), math.NaN()
+	refFillAlg1(ref1)
+	ref2 := loadMVASolver(t, sw)
+	defer ref2.release()
+	for _, lat := range append([][]float64{ref2.f1, ref2.f2}, ref2.d...) {
+		for i := range lat {
+			lat[i] = math.NaN()
+		}
 	}
 	refFillMVA(ref2)
 	for _, sched := range []struct{ workers, tile int }{{1, 0}, {4, 1}, {3, 3}, {2, 16}} {
 		name := fmt.Sprintf("%s/w%d_t%d", name, sched.workers, sched.tile)
-		s1, err := NewSolver(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s1 := loadSolver(t, sw)
 		if sched.tile > 0 {
 			refillWavefront(s1, sched.workers, sched.tile)
+		} else {
+			s1.fill()
 		}
 		assertBitsEqual(t, name+"/Q", numberBits(s1.q), numberBits(ref1.q))
 		for j := range s1.bursty {
 			assertBitsEqual(t, fmt.Sprintf("%s/W%d", name, j), accBits(s1.bursty[j].w), accBits(ref1.bursty[j].w))
 		}
+		s1.release()
 	}
-	s2, err := NewMVASolver(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := loadMVASolver(t, sw)
+	defer s2.release()
+	s2.fill()
 	assertBitsEqual(t, name+"/F1", floatBits(s2.f1), floatBits(ref2.f1))
 	assertBitsEqual(t, name+"/F2", floatBits(s2.f2), floatBits(ref2.f2))
 	for j := range s2.d {

@@ -6,14 +6,15 @@ import (
 )
 
 // The sweep solvers amortize one lattice fill over many reads. Both
-// Algorithm 1 and Algorithm 2 retain their full recursion grids, and
-// the Eq. 10 / Eq. 12-20 recursions are lower-triangular: the value at
-// (n1, n2) depends only on lattice points below it. A sub-lattice of
-// one big fill is therefore bit-identical to a fresh fill of the
-// smaller switch with the same per-route classes, so a single
-// O(N^2 R) solve at the maximum size serves exact results for every
-// sub-size — the "compute once, read many" structure the figures'
-// size sweeps and the revenue differences W(N) - W(N - a_r I) want.
+// Algorithm 1 and Algorithm 2 retain the full grids their reads need
+// (Q, or F_1 and F_2), and the Eq. 10 / Eq. 12-20 recursions are
+// lower-triangular: the value at (n1, n2) depends only on lattice
+// points below it. A sub-lattice of one big fill is therefore
+// bit-identical to a fresh fill of the smaller switch with the same
+// per-route classes, so a single O(N^2 R) solve at the maximum size
+// serves exact results for every sub-size — the "compute once, read
+// many" structure the figures' size sweeps and the revenue differences
+// W(N) - W(N - a_r I) want.
 //
 // The one semantic caveat: ResultAt(n1, n2) is the switch (n1, n2)
 // with the SAME per-route classes as the full switch. The paper's
@@ -148,13 +149,13 @@ func NewSweepSolver(sw Switch) (*SweepSolver, error) {
 }
 
 // Reuse re-points the sweep solver at sw, refilling the retained
-// Algorithm 1 lattice through Solver.Reuse (recycling the Q/W buffers)
+// Algorithm 1 lattice through Solver.Reuse (recycling the Q buffer)
 // and resetting the memoized reads. The zero value of SweepSolver is
 // ready for Reuse, mirroring Solver — the admission-control server's
 // solver cache recycles evicted sweep solvers this way instead of
-// allocating fresh lattices per cache miss. Trailing Options are inert.
-//
-//lint:pooled recv — refilling invalidates Results previously read off this solver
+// allocating fresh lattices per cache miss. A Result read before
+// Reuse stays valid: the refill never writes it. Trailing Options are
+// inert.
 func (s *SweepSolver) Reuse(sw Switch, _ ...Options) error {
 	if s.solver == nil {
 		s.solver = &Solver{}
@@ -164,6 +165,16 @@ func (s *SweepSolver) Reuse(sw Switch, _ ...Options) error {
 	}
 	s.sweepCache.reset(s.solver.sw, s.solver)
 	return nil
+}
+
+// Cells returns how many lattice cells the retained Q lattice holds: a
+// Reuse on a switch of up to that many (N1+1)(N2+1) cells refills it
+// without growing it. The zero SweepSolver holds none.
+func (s *SweepSolver) Cells() int {
+	if s.solver == nil {
+		return 0
+	}
+	return cap(s.solver.q)
 }
 
 // MVASweepSolver is the Algorithm 2 twin: one ratio-lattice fill,
@@ -191,8 +202,6 @@ func NewMVASweepSolver(sw Switch) (*MVASweepSolver, error) {
 // lattices through MVASolver.Reuse and resetting the memoized reads.
 // The zero value of MVASweepSolver is ready for Reuse, same contract
 // as SweepSolver.Reuse. Trailing Options are inert.
-//
-//lint:pooled recv — refilling invalidates Results previously read off this solver
 func (s *MVASweepSolver) Reuse(sw Switch, _ ...Options) error {
 	if s.solver == nil {
 		s.solver = &MVASolver{}
@@ -202,4 +211,13 @@ func (s *MVASweepSolver) Reuse(sw Switch, _ ...Options) error {
 	}
 	s.sweepCache.reset(s.solver.sw, s.solver)
 	return nil
+}
+
+// Cells returns how many lattice cells the retained F lattices hold,
+// same contract as SweepSolver.Cells.
+func (s *MVASweepSolver) Cells() int {
+	if s.solver == nil {
+		return 0
+	}
+	return min(cap(s.solver.f1), cap(s.solver.f2))
 }

@@ -1,19 +1,11 @@
 package dist
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
-)
 
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*s || diff <= tol
-}
+	"xbar/internal/floats"
+)
 
 func TestTrafficString(t *testing.T) {
 	if Smooth.String() != "smooth" || Regular.String() != "regular" || Peaky.String() != "peaky" {
@@ -40,13 +32,13 @@ func TestMomentFormulas(t *testing.T) {
 	// Paper Section 2 (with mu = 1): M = alpha/(1-beta),
 	// V = alpha/(1-beta)^2, Z = 1/(1-beta).
 	b := BPP{Alpha: 0.6, Beta: 0.25, Mu: 1}
-	if got := b.Mean(); !almostEqual(got, 0.8, 1e-12) {
+	if got := b.Mean(); !floats.AlmostEqual(got, 0.8, 1e-12) {
 		t.Errorf("Mean = %v, want 0.8", got)
 	}
-	if got := b.Variance(); !almostEqual(got, 0.6/(0.75*0.75), 1e-12) {
+	if got := b.Variance(); !floats.AlmostEqual(got, 0.6/(0.75*0.75), 1e-12) {
 		t.Errorf("Variance = %v", got)
 	}
-	if got := b.Peakedness(); !almostEqual(got, 4.0/3, 1e-12) {
+	if got := b.Peakedness(); !floats.AlmostEqual(got, 4.0/3, 1e-12) {
 		t.Errorf("Peakedness = %v, want 4/3", got)
 	}
 }
@@ -74,7 +66,7 @@ func TestFitMeanPeakednessRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return almostEqual(b.Mean(), m, 1e-9) && almostEqual(b.Peakedness(), z, 1e-9)
+		return floats.AlmostEqual(b.Mean(), m, 1e-9) && floats.AlmostEqual(b.Peakedness(), z, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -157,10 +149,10 @@ func pmfSumAndMoments(pmf func(int) float64, n int) (sum, mean, variance float64
 func TestPoissonPMF(t *testing.T) {
 	m := 3.5
 	sum, mean, v := pmfSumAndMoments(func(k int) float64 { return PoissonPMF(m, k) }, 200)
-	if !almostEqual(sum, 1, 1e-10) {
+	if !floats.AlmostEqual(sum, 1, 1e-10) {
 		t.Errorf("Poisson pmf sums to %v", sum)
 	}
-	if !almostEqual(mean, m, 1e-9) || !almostEqual(v, m, 1e-9) {
+	if !floats.AlmostEqual(mean, m, 1e-9) || !floats.AlmostEqual(v, m, 1e-9) {
 		t.Errorf("Poisson mean/var = %v/%v, want %v/%v", mean, v, m, m)
 	}
 	if PoissonPMF(m, -1) != 0 {
@@ -181,13 +173,13 @@ func TestPoissonPMFLargeK(t *testing.T) {
 func TestBinomialPMF(t *testing.T) {
 	n, p := 20, 0.3
 	sum, mean, v := pmfSumAndMoments(func(k int) float64 { return BinomialPMF(n, p, k) }, n)
-	if !almostEqual(sum, 1, 1e-10) {
+	if !floats.AlmostEqual(sum, 1, 1e-10) {
 		t.Errorf("Binomial pmf sums to %v", sum)
 	}
-	if !almostEqual(mean, float64(n)*p, 1e-9) {
+	if !floats.AlmostEqual(mean, float64(n)*p, 1e-9) {
 		t.Errorf("Binomial mean = %v, want %v", mean, float64(n)*p)
 	}
-	if !almostEqual(v, float64(n)*p*(1-p), 1e-9) {
+	if !floats.AlmostEqual(v, float64(n)*p*(1-p), 1e-9) {
 		t.Errorf("Binomial var = %v, want %v", v, float64(n)*p*(1-p))
 	}
 	if BinomialPMF(n, p, -1) != 0 || BinomialPMF(n, p, n+1) != 0 {
@@ -201,15 +193,15 @@ func TestBinomialPMF(t *testing.T) {
 func TestPascalPMF(t *testing.T) {
 	r, p := 2.5, 0.4
 	sum, mean, v := pmfSumAndMoments(func(k int) float64 { return PascalPMF(r, p, k) }, 500)
-	if !almostEqual(sum, 1, 1e-9) {
+	if !floats.AlmostEqual(sum, 1, 1e-9) {
 		t.Errorf("Pascal pmf sums to %v", sum)
 	}
 	wantMean := r * p / (1 - p)
 	wantVar := r * p / ((1 - p) * (1 - p))
-	if !almostEqual(mean, wantMean, 1e-8) {
+	if !floats.AlmostEqual(mean, wantMean, 1e-8) {
 		t.Errorf("Pascal mean = %v, want %v", mean, wantMean)
 	}
-	if !almostEqual(v, wantVar, 1e-7) {
+	if !floats.AlmostEqual(v, wantVar, 1e-7) {
 		t.Errorf("Pascal var = %v, want %v", v, wantVar)
 	}
 	if PascalPMF(r, p, -1) != 0 {
@@ -235,13 +227,13 @@ func TestInfiniteServerPMFMatchesMoments(t *testing.T) {
 	}
 	for _, b := range cases {
 		sum, mean, v := pmfSumAndMoments(b.InfiniteServerPMF, 3000)
-		if !almostEqual(sum, 1, 1e-8) {
+		if !floats.AlmostEqual(sum, 1, 1e-8) {
 			t.Errorf("%+v: pmf sums to %v", b, sum)
 		}
-		if !almostEqual(mean, b.Mean(), 1e-6) {
+		if !floats.AlmostEqual(mean, b.Mean(), 1e-6) {
 			t.Errorf("%+v: pmf mean %v, want %v", b, mean, b.Mean())
 		}
-		if !almostEqual(v, b.Variance(), 1e-5) {
+		if !floats.AlmostEqual(v, b.Variance(), 1e-5) {
 			t.Errorf("%+v: pmf var %v, want %v", b, v, b.Variance())
 		}
 	}
@@ -255,12 +247,12 @@ func TestBPPUnifiesDistributions(t *testing.T) {
 	for k := 0; k <= 10; k++ {
 		want := PoissonPMF(m, k)
 		peaky := BPP{Alpha: m * (1 - 1e-6), Beta: 1e-6, Mu: 1}
-		if got := peaky.InfiniteServerPMF(k); !almostEqual(got, want, 1e-3) {
+		if got := peaky.InfiniteServerPMF(k); !floats.AlmostEqual(got, want, 1e-3) {
 			t.Errorf("Pascal(beta->0) pmf(%d) = %v, want ~%v", k, got, want)
 		}
 		pop := 1e6
 		smooth := BPP{Alpha: m, Beta: -m / pop, Mu: 1}
-		if got := smooth.InfiniteServerPMF(k); !almostEqual(got, want, 1e-3) {
+		if got := smooth.InfiniteServerPMF(k); !floats.AlmostEqual(got, want, 1e-3) {
 			t.Errorf("Binomial(beta->0) pmf(%d) = %v, want ~%v", k, got, want)
 		}
 	}
@@ -283,7 +275,7 @@ func TestInfiniteServerPMFDetailedBalance(t *testing.T) {
 			}
 			got := pk1 / pk
 			want := b.Rate(k) / (float64(k+1) * b.Mu)
-			if !almostEqual(got, want, 1e-8) {
+			if !floats.AlmostEqual(got, want, 1e-8) {
 				t.Errorf("%+v k=%d: pi ratio %v, want %v", b, k, got, want)
 			}
 		}

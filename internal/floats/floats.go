@@ -43,6 +43,29 @@ func AlmostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
+// Close reports whether a and b agree to relative error tol, with an
+// absolute floor of tol*1e-3 for values at or near zero:
+//
+//	|a-b| <= tol * max(|a|, |b|)  or  |a-b| <= tol * 1e-3 .
+//
+// It is the comparison the solver tests use between two computations
+// of one measure. NaN is never close to anything (including NaN), and
+// an infinity is close only to the same infinity: against a finite
+// value tol*Inf would accept anything.
+func Close(a, b, tol float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return false
+	}
+	if a == b { //lint:allow floatcmp exact equality short-circuits infinities and exact hits
+		return true
+	}
+	if math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return false
+	}
+	d := math.Abs(a - b)
+	return d <= tol*math.Max(math.Abs(a), math.Abs(b)) || d <= tol*1e-3
+}
+
 // Near reports AlmostEqual at DefaultTol.
 func Near(a, b float64) bool { return AlmostEqual(a, b, DefaultTol) }
 

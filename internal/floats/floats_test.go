@@ -68,3 +68,29 @@ func TestWithinRel(t *testing.T) {
 		t.Error("WithinRel(+Inf, 1e308) = true")
 	}
 }
+
+func TestClose(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		a, b, tol float64
+		want      bool
+	}{
+		{100, 100.0000001, 1e-6, true}, // relative
+		{100, 101, 1e-6, false},
+		{0, 5e-10, 1e-6, true}, // under the tol*1e-3 absolute floor
+		{0, 2e-9, 1e-6, false}, // over it
+		{1e-12, 1e-12, 1e-300, true},
+		{math.NaN(), math.NaN(), 1, false},
+		{math.NaN(), 1, 1, false},
+		{inf, inf, 1e-9, true},
+		{-inf, -inf, 1e-9, true},
+		{inf, -inf, 1, false},
+		{inf, 1, 1e-9, false}, // tol*Inf would accept any finite value
+		{1, inf, 1e-9, false},
+		{-inf, 0, 1, false},
+	} {
+		if got := Close(tc.a, tc.b, tc.tol); got != tc.want {
+			t.Errorf("Close(%v, %v, %v) = %v, want %v", tc.a, tc.b, tc.tol, got, tc.want)
+		}
+	}
+}

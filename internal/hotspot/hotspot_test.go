@@ -5,16 +5,8 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*s || d <= tol*1e-3
-}
 
 // TestUniformReducesToProductForm: with p = 1/N2 the hot output is
 // just another output and the exact (h, c) chain must reproduce the
@@ -34,13 +26,13 @@ func TestUniformReducesToProductForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(got.NonBlocking, want.NonBlocking[0], 1e-9) {
+	if !floats.Close(got.NonBlocking, want.NonBlocking[0], 1e-9) {
 		t.Errorf("uniform NonBlocking %v, product form %v", got.NonBlocking, want.NonBlocking[0])
 	}
-	if !almostEqual(got.HotNonBlocking, got.ColdNonBlocking, 1e-9) {
+	if !floats.Close(got.HotNonBlocking, got.ColdNonBlocking, 1e-9) {
 		t.Errorf("uniform case: hot %v != cold %v", got.HotNonBlocking, got.ColdNonBlocking)
 	}
-	if !almostEqual(got.MeanBusy, want.Concurrency[0], 1e-9) {
+	if !floats.Close(got.MeanBusy, want.Concurrency[0], 1e-9) {
 		t.Errorf("uniform MeanBusy %v, product form %v", got.MeanBusy, want.Concurrency[0])
 	}
 }
@@ -82,7 +74,7 @@ func TestFlowConservation(t *testing.T) {
 	}
 	acceptRate := m.Lambda * res.NonBlocking
 	completeRate := m.Mu * res.MeanBusy
-	if !almostEqual(acceptRate, completeRate, 1e-9) {
+	if !floats.Close(acceptRate, completeRate, 1e-9) {
 		t.Errorf("accepted %v != completed %v", acceptRate, completeRate)
 	}
 }

@@ -5,16 +5,8 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*s || d <= tol*1e-3
-}
 
 // erlangBDirect evaluates the defining formula
 // B = (rho^c/c!) / sum_{k<=c} rho^k/k! with term-by-term accumulation.
@@ -39,7 +31,7 @@ func TestErlangBKnownValues(t *testing.T) {
 		{2, 1, 1.0 / 5}, // (rho^2/2)/(1+rho+rho^2/2)
 	}
 	for _, c := range cases {
-		if got := ErlangB(c.c, c.rho); !almostEqual(got, c.want, 1e-9) {
+		if got := ErlangB(c.c, c.rho); !floats.Close(got, c.want, 1e-9) {
 			t.Errorf("ErlangB(%d, %v) = %v, want %v", c.c, c.rho, got, c.want)
 		}
 	}
@@ -50,7 +42,7 @@ func TestErlangBMatchesDirectFormula(t *testing.T) {
 		for _, rho := range []float64{0.5, 5, 40, 90} {
 			got := ErlangB(c, rho)
 			want := erlangBDirect(c, rho)
-			if !almostEqual(got, want, 1e-10) {
+			if !floats.Close(got, want, 1e-10) {
 				t.Errorf("ErlangB(%d, %v) = %v, direct formula %v", c, rho, got, want)
 			}
 		}
@@ -81,11 +73,11 @@ func TestSolveReducesToErlangB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ErlangB(10, rho); !almostEqual(res.Blocking[0], want, 1e-10) {
+		if want := ErlangB(10, rho); !floats.Close(res.Blocking[0], want, 1e-10) {
 			t.Errorf("rho=%v: blocking %v, want Erlang-B %v", rho, res.Blocking[0], want)
 		}
 		// Carried load = rho (1 - B).
-		if want := rho * (1 - ErlangB(10, rho)); !almostEqual(res.Concurrency[0], want, 1e-10) {
+		if want := rho * (1 - ErlangB(10, rho)); !floats.Close(res.Concurrency[0], want, 1e-10) {
 			t.Errorf("rho=%v: concurrency %v, want %v", rho, res.Concurrency[0], want)
 		}
 	}
@@ -108,12 +100,12 @@ func TestKaufmanRobertsMatchesConvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range occ {
-		if !almostEqual(occ[s], res.Occupancy[s], 1e-9) {
+		if !floats.Close(occ[s], res.Occupancy[s], 1e-9) {
 			t.Errorf("occupancy[%d]: KR %v convolution %v", s, occ[s], res.Occupancy[s])
 		}
 	}
 	for r := range a {
-		if !almostEqual(blocking[r], res.Blocking[r], 1e-9) {
+		if !floats.Close(blocking[r], res.Blocking[r], 1e-9) {
 			t.Errorf("blocking[%d]: KR %v convolution %v", r, blocking[r], res.Blocking[r])
 		}
 	}
@@ -141,7 +133,7 @@ func TestOccupancySumsToOne(t *testing.T) {
 	for _, p := range res.Occupancy {
 		sum += p
 	}
-	if !almostEqual(sum, 1, 1e-10) {
+	if !floats.Close(sum, 1, 1e-10) {
 		t.Errorf("occupancy sums to %v", sum)
 	}
 }
@@ -244,12 +236,12 @@ func TestDelbrouckMatchesConvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range occ {
-		if !almostEqual(occ[s], want.Occupancy[s], 1e-9) {
+		if !floats.Close(occ[s], want.Occupancy[s], 1e-9) {
 			t.Errorf("occupancy[%d]: delbrouck %v convolution %v", s, occ[s], want.Occupancy[s])
 		}
 	}
 	for r := range l.Classes {
-		if !almostEqual(blocking[r], want.Blocking[r], 1e-9) {
+		if !floats.Close(blocking[r], want.Blocking[r], 1e-9) {
 			t.Errorf("blocking[%d]: delbrouck %v convolution %v", r, blocking[r], want.Blocking[r])
 		}
 	}
@@ -270,12 +262,12 @@ func TestDelbrouckReducesToKaufmanRoberts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range occ {
-		if !almostEqual(occ[s], krOcc[s], 1e-12) {
+		if !floats.Close(occ[s], krOcc[s], 1e-12) {
 			t.Errorf("occupancy[%d]: delbrouck %v KR %v", s, occ[s], krOcc[s])
 		}
 	}
 	for r := range blocking {
-		if !almostEqual(blocking[r], krB[r], 1e-12) {
+		if !floats.Close(blocking[r], krB[r], 1e-12) {
 			t.Errorf("blocking[%d]: delbrouck %v KR %v", r, blocking[r], krB[r])
 		}
 	}

@@ -155,8 +155,9 @@ func (a *Analysis) GradientBetaMuForward(r int, h float64) float64 {
 }
 
 // perturbedW re-solves with class r's alpha and beta shifted, through
-// the recycled scratch solver (Reuse keeps the Q/V lattices allocated
-// across the 2-4 solves a gradient takes). A shifted model outside the
+// the recycled scratch solver (Reuse keeps the Q lattice allocated
+// across the 2-4 solves a gradient takes, and borrows the V lattices
+// from core's fill scratch). A shifted model outside the
 // valid parameter region has no W and yields NaN: beta_r/mu_r reaching
 // 1, a negative rate, or a Bernoulli class (beta_r < 0) whose
 // population -alpha_r/beta_r stops being an integer, which any shift

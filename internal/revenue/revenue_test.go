@@ -5,16 +5,8 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*s || diff <= tol*1e-3
-}
 
 func TestWeightsLengthChecked(t *testing.T) {
 	sw := core.Switch{N1: 2, N2: 2, Classes: []core.Class{{A: 1, Alpha: 0.1, Mu: 1}}}
@@ -39,7 +31,7 @@ func TestWEqualsWeightedThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 1.5*res.Concurrency[0] + 0.7*res.Concurrency[1]
-	if got := a.W(); !almostEqual(got, want, 1e-12) {
+	if got := a.W(); !floats.Close(got, want, 1e-12) {
 		t.Errorf("W = %v, want %v", got, want)
 	}
 }
@@ -59,7 +51,7 @@ func TestClosedFormGradientAllPoisson(t *testing.T) {
 	for r := range sw.Classes {
 		closed := a.GradientRhoClosed(r)
 		numeric := a.GradientRho(r, 1e-6)
-		if !almostEqual(closed, numeric, 1e-4) {
+		if !floats.Close(closed, numeric, 1e-4) {
 			t.Errorf("class %d: closed %v numeric %v", r, closed, numeric)
 		}
 	}
@@ -96,7 +88,7 @@ func TestPaperTable2Gradients(t *testing.T) {
 	}
 	// The numerical gradient agrees with the closed form to the
 	// accuracy the mixed-traffic approximation allows here.
-	if closed, numeric := a2.GradientRhoClosed(0), a2.GradientRho(0, 1e-6); !almostEqual(closed, numeric, 1e-3) {
+	if closed, numeric := a2.GradientRhoClosed(0), a2.GradientRho(0, 1e-6); !floats.Close(closed, numeric, 1e-3) {
 		t.Errorf("N=2: closed %v vs numeric %v", closed, numeric)
 	}
 }
@@ -147,7 +139,7 @@ func TestForwardVsCentralDifference(t *testing.T) {
 	}
 	fwd := a.GradientBetaMuForward(1, 1e-5)
 	ctr := a.GradientBetaMu(1, 1e-5)
-	if !almostEqual(fwd, ctr, 1e-2) {
+	if !floats.Close(fwd, ctr, 1e-2) {
 		t.Errorf("forward %v central %v", fwd, ctr)
 	}
 }
@@ -192,7 +184,7 @@ func TestWAtBoundary(t *testing.T) {
 		t.Errorf("W(0) = %v, want 0", got)
 	}
 	// Shadow cost of the a=2 class compares against W(0, 0) = 0.
-	if got, want := a.ShadowCost(0), a.W(); !almostEqual(got, want, 1e-12) {
+	if got, want := a.ShadowCost(0), a.W(); !floats.Close(got, want, 1e-12) {
 		t.Errorf("ShadowCost = %v, want W = %v", got, want)
 	}
 }
@@ -234,18 +226,18 @@ func TestNewWithSweepSharesLattice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := shared.W(), fresh.W(); !almostEqual(got, want, 1e-12) {
+	if got, want := shared.W(), fresh.W(); !floats.Close(got, want, 1e-12) {
 		t.Errorf("W = %v, want %v", got, want)
 	}
 	for r := range sw.Classes {
-		if got, want := shared.ShadowCost(r), fresh.ShadowCost(r); !almostEqual(got, want, 1e-12) {
+		if got, want := shared.ShadowCost(r), fresh.ShadowCost(r); !floats.Close(got, want, 1e-12) {
 			t.Errorf("ShadowCost(%d) = %v, want %v", r, got, want)
 		}
-		if got, want := shared.GradientRhoClosed(r), fresh.GradientRhoClosed(r); !almostEqual(got, want, 1e-12) {
+		if got, want := shared.GradientRhoClosed(r), fresh.GradientRhoClosed(r); !floats.Close(got, want, 1e-12) {
 			t.Errorf("GradientRhoClosed(%d) = %v, want %v", r, got, want)
 		}
 	}
-	if got, want := shared.GradientBetaMu(1, 1e-4), fresh.GradientBetaMu(1, 1e-4); !almostEqual(got, want, 1e-9) {
+	if got, want := shared.GradientBetaMu(1, 1e-4), fresh.GradientBetaMu(1, 1e-4); !floats.Close(got, want, 1e-9) {
 		t.Errorf("GradientBetaMu = %v, want %v", got, want)
 	}
 	if shared.Result() != sweep.Result() {

@@ -12,7 +12,11 @@
 //   - single-flight deduplication, so concurrent identical requests
 //     wait for one fill instead of racing N of them;
 //   - Solver.Reuse recycling: evicted entries return their lattices to
-//     a free pool and the next miss refills in place of allocating;
+//     a free pool, and the next miss refills the smallest pooled
+//     lattice that holds it in place of allocating. An entry keeps
+//     only the lattices its reads need, 16 bytes per cell with either
+//     algorithm; the lattices only a fill reads (Algorithm 1's W,
+//     Algorithm 2's D) are lent by a shared scratch for the fill;
 //   - a bounded solve semaphore sized against the wavefront worker
 //     pool, taken by fills only, so concurrent fills do not
 //     oversubscribe GOMAXPROCS;

@@ -92,7 +92,9 @@ const maxFreeSolvers = 4
 
 // solverPool recycles the retained lattices of evicted entries: the
 // next miss of the same algorithm refills one in place
-// (SweepSolver.Reuse) instead of allocating a fresh grid.
+// (SweepSolver.Reuse) instead of allocating a fresh grid. A retained
+// lattice is 16 bytes per cell with either algorithm; the lattices
+// only the fill reads come from core's shared fill scratch.
 type solverPool struct {
 	mu       sync.Mutex
 	alg1     []*core.SweepSolver
@@ -104,12 +106,13 @@ type solverPool struct {
 // when one is available.
 func (p *solverPool) fill(alg string, sw core.Switch) (*solverEntry, error) {
 	e := &solverEntry{}
+	cells := (sw.N1 + 1) * (sw.N2 + 1)
 	p.mu.Lock()
 	switch alg {
 	case alg1:
-		e.sweep = takeSolver(&p.alg1, p.recycled)
+		e.sweep = takeSolver(&p.alg1, cells, p.recycled)
 	case alg2:
-		e.mva = takeSolver(&p.alg2, p.recycled)
+		e.mva = takeSolver(&p.alg2, cells, p.recycled)
 	default:
 		p.mu.Unlock()
 		return nil, fmt.Errorf("server: unknown algorithm %q", alg)
@@ -130,17 +133,44 @@ func (p *solverPool) fill(alg string, sw core.Switch) (*solverEntry, error) {
 	return e, nil
 }
 
-// takeSolver pops a pooled solver, or returns a new one. Callers hold
-// the pool lock.
-func takeSolver[S any](free *[]*S, recycled *atomic.Int64) *S {
-	n := len(*free)
-	if n == 0 {
+// takeSolver hands out the pooled solver with the smallest lattice
+// that holds cells, else the one with the largest lattice, so a fill
+// grows a lattice only when no pooled one fits. With an empty pool it
+// returns a new solver. Callers hold the pool lock.
+func takeSolver[S any, P interface {
+	*S
+	Cells() int
+}](free *[]P, cells int, recycled *atomic.Int64) P {
+	pool := *free
+	if len(pool) == 0 {
 		return new(S)
 	}
-	s := (*free)[n-1]
-	*free = (*free)[:n-1]
+	best := 0
+	for i := 1; i < len(pool); i++ {
+		if fitsBetter(pool[i].Cells(), pool[best].Cells(), cells) {
+			best = i
+		}
+	}
+	s := pool[best]
+	last := len(pool) - 1
+	pool[best], pool[last] = pool[last], nil
+	*free = pool[:last]
 	recycled.Add(1)
 	return s
+}
+
+// fitsBetter reports whether a lattice of c cells serves a fill of
+// want cells better than one of b cells: one that holds the fill beats
+// one that does not, the smaller of two that hold it wins, and the
+// larger of two that do not.
+func fitsBetter(c, b, want int) bool {
+	if (c >= want) != (b >= want) {
+		return c >= want
+	}
+	if c >= want {
+		return c < b
+	}
+	return c > b
 }
 
 // put returns an evicted entry's solver to its free pool. It is the

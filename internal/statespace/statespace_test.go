@@ -6,16 +6,8 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*s || diff <= tol*1e-3
-}
 
 func smallSwitch() core.Switch {
 	return core.Switch{N1: 4, N2: 3, Classes: []core.Class{
@@ -83,7 +75,7 @@ func TestArrivalRateMatchesPaper(t *testing.T) {
 	}
 	k := []int{2}
 	want := float64(5-2) * float64(4-2) * (0.7 + 0.1*2)
-	if got := c.Rate(k, 0, +1); !almostEqual(got, want, 1e-12) {
+	if got := c.Rate(k, 0, +1); !floats.Close(got, want, 1e-12) {
 		t.Errorf("Rate up = %v, want %v", got, want)
 	}
 	if got := c.Rate(k, 0, -1); got != 2 {
@@ -114,7 +106,7 @@ func TestStationaryEqualsProductForm(t *testing.T) {
 		}
 		pf := c.ProductForm()
 		for i := range pi {
-			if !almostEqual(pi[i], pf[i], 1e-7) {
+			if !floats.Close(pi[i], pf[i], 1e-7) {
 				t.Errorf("trial %d state %v: solved %v product-form %v (switch %+v)",
 					trial, c.States[i], pi[i], pf[i], sw)
 			}
@@ -166,11 +158,11 @@ func TestMeasuresMatchCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := range sw.Classes {
-			if !almostEqual(got.NonBlocking[r], want.NonBlocking[r], 1e-7) {
+			if !floats.Close(got.NonBlocking[r], want.NonBlocking[r], 1e-7) {
 				t.Errorf("trial %d: NonBlocking[%d] ctmc %v core %v (switch %+v)",
 					trial, r, got.NonBlocking[r], want.NonBlocking[r], sw)
 			}
-			if !almostEqual(got.Concurrency[r], want.Concurrency[r], 1e-7) {
+			if !floats.Close(got.Concurrency[r], want.Concurrency[r], 1e-7) {
 				t.Errorf("trial %d: Concurrency[%d] ctmc %v core %v (switch %+v)",
 					trial, r, got.Concurrency[r], want.Concurrency[r], sw)
 			}
@@ -224,7 +216,7 @@ func TestSolveDenseKnownSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(x[0], 1, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
+	if !floats.Close(x[0], 1, 1e-12) || !floats.Close(x[1], 3, 1e-12) {
 		t.Errorf("x = %v, want [1 3]", x)
 	}
 }
@@ -253,7 +245,7 @@ func TestCallBlockingPASTA(t *testing.T) {
 	call := c.CallBlocking(pi)
 	meas := c.Measures(pi)
 	for r := range sw.Classes {
-		if !almostEqual(call[r], meas.Blocking[r], 1e-9) {
+		if !floats.Close(call[r], meas.Blocking[r], 1e-9) {
 			t.Errorf("class %d: call blocking %v != time blocking %v", r, call[r], meas.Blocking[r])
 		}
 	}
@@ -289,7 +281,7 @@ func TestSolveLinearExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(x[0], 2, 1e-12) || !almostEqual(x[1], 2, 1e-12) {
+	if !floats.Close(x[0], 2, 1e-12) || !floats.Close(x[1], 2, 1e-12) {
 		t.Errorf("x = %v", x)
 	}
 }

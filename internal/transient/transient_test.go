@@ -5,18 +5,10 @@ import (
 	"testing"
 
 	"xbar/internal/core"
+	"xbar/internal/floats"
 	"xbar/internal/rng"
 	"xbar/internal/statespace"
 )
-
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*s || d <= tol*1e-3
-}
 
 func chainFor(t *testing.T, sw core.Switch) *statespace.Chain {
 	t.Helper()
@@ -46,7 +38,7 @@ func TestTwoStateClosedForm(t *testing.T) {
 	busy := chain.StateIndex([]int{1})
 	for i, tt := range times {
 		want := alpha / (alpha + mu) * (1 - math.Exp(-(alpha+mu)*tt))
-		if got := dists[i][busy]; !almostEqual(got, want, 1e-8) {
+		if got := dists[i][busy]; !floats.Close(got, want, 1e-8) {
 			t.Errorf("t=%v: P(busy) = %v, want %v", tt, got, want)
 		}
 	}
@@ -113,12 +105,12 @@ func TestDistributionProperties(t *testing.T) {
 			}
 			sum += p
 		}
-		if !almostEqual(sum, 1, 1e-9) {
+		if !floats.Close(sum, 1, 1e-9) {
 			t.Errorf("t index %d: probabilities sum to %v", ti, sum)
 		}
 	}
 	for i := range pi0 {
-		if !almostEqual(dists[0][i], pi0[i], 1e-12) {
+		if !floats.Close(dists[0][i], pi0[i], 1e-12) {
 			t.Errorf("t=0 distribution differs from initial at %d", i)
 		}
 	}
@@ -142,7 +134,7 @@ func TestLargeTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range stat {
-		if !almostEqual(dists[0][i], stat[i], 1e-6) {
+		if !floats.Close(dists[0][i], stat[i], 1e-6) {
 			t.Errorf("state %d: pi(50) = %v, stationary %v", i, dists[0][i], stat[i])
 		}
 	}
@@ -177,7 +169,7 @@ func TestBlockingTrajectoryMonotoneFromEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := chain.Measures(stat).Blocking[0]
-	if !almostEqual(traj[len(traj)-1], want, 1e-6) {
+	if !floats.Close(traj[len(traj)-1], want, 1e-6) {
 		t.Errorf("t=16 blocking %v, stationary %v", traj[len(traj)-1], want)
 	}
 }

@@ -3,16 +3,9 @@ package workload
 import (
 	"math"
 	"testing"
-)
 
-func almostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	s := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*s
-}
+	"xbar/internal/floats"
+)
 
 // TestTable1MatchesPaper pins every printed Table 1 value.
 func TestTable1MatchesPaper(t *testing.T) {
@@ -32,10 +25,10 @@ func TestTable1MatchesPaper(t *testing.T) {
 			t.Errorf("row %d: N = %d, want %d", i, rows[i].N, w.N)
 		}
 		// The paper prints 3 significant digits.
-		if !almostEqual(rows[i].Rho1, w.Rho1, 5e-3) {
+		if !floats.WithinRel(rows[i].Rho1, w.Rho1, 5e-3) {
 			t.Errorf("N=%d: rho~1 = %v, paper %v", w.N, rows[i].Rho1, w.Rho1)
 		}
-		if !almostEqual(rows[i].Rho2, w.Rho2, 5e-3) {
+		if !floats.WithinRel(rows[i].Rho2, w.Rho2, 5e-3) {
 			t.Errorf("N=%d: rho~2 = %v, paper %v", w.N, rows[i].Rho2, w.Rho2)
 		}
 	}
@@ -173,10 +166,10 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(rows[0].Blocking, 0.00239425, 1e-4) {
+	if !floats.WithinRel(rows[0].Blocking, 0.00239425, 1e-4) {
 		t.Errorf("N=1 blocking %v, paper 0.00239425", rows[0].Blocking)
 	}
-	if !almostEqual(rows[0].W, 0.00119725, 1e-4) {
+	if !floats.WithinRel(rows[0].W, 0.00119725, 1e-4) {
 		t.Errorf("N=1 W %v, paper 0.00119725", rows[0].W)
 	}
 	for i := 1; i < len(rows); i++ {
