@@ -179,16 +179,11 @@ func Simulate(c Network, cfg SimConfig) (*Result, error) {
 	if cfg.Mu <= 0 {
 		return nil, fmt.Errorf("clos: mu = %v", cfg.Mu)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("clos: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("clos: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("clos: need >= 2 batches")
-	}
+	batches := win.Batches()
 
 	stream := rng.NewStream(cfg.Seed)
 	// Link occupancy: inLink[i][k] = ingress i to middle k;
@@ -216,44 +211,19 @@ func Simulate(c Network, cfg SimConfig) (*Result, error) {
 		return nil, fmt.Errorf("clos: zero arrival rate")
 	}
 
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	offered := make([]int64, batches)
 	blockedAll := make([]int64, batches)
 	blockedInternal := make([]int64, batches)
 	eligible := make([]int64, batches) // arrivals with free external ports
 	utilArea := make([]float64, batches)
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 
 	var deps eventq.Queue[circuit]
 	nextArr := stream.Exp(arrivalRate)
 	now := 0.0
 	var events int64
 	advance := func(t float64) {
-		t1 := math.Min(t, end)
-		if t1 > now && now < end {
-			lo := math.Max(now, start)
-			util := float64(busyLinks) / float64(c.R*c.M)
-			for cur := lo; cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b < 0 || b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				utilArea[b] += util * (seg - cur)
-				cur = seg
-			}
-		}
+		win.Add(utilArea, now, t, float64(busyLinks)/float64(c.R*c.M))
 		now = t
 	}
 
@@ -281,7 +251,7 @@ func Simulate(c Network, cfg SimConfig) (*Result, error) {
 			continue
 		}
 		nextArr = now + stream.Exp(arrivalRate)
-		b := batchOf(now)
+		b := win.Of(now)
 		if b >= 0 {
 			offered[b]++
 		}

@@ -237,53 +237,25 @@ func Simulate(m Model, cfg SimConfig) (*SimResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("hotspot: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("hotspot: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("hotspot: need >= 2 batches")
-	}
+	batches := win.Batches()
 	stream := rng.NewStream(cfg.Seed)
 	busyIn := make([]bool, m.N1)
 	busyOut := make([]bool, m.N2)
 	busy := 0
 	var deps eventq.Queue[departure]
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	type counts struct{ offered, blocked int64 }
 	hot := make([]counts, batches)
 	cold := make([]counts, batches)
 	busyArea := make([]float64, batches)
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 	now := 0.0
 	var events int64
 	advance := func(t float64) {
-		t1 := math.Min(t, end)
-		if t1 > now && now < end {
-			for cur := math.Max(now, start); cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b < 0 || b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				busyArea[b] += float64(busy) * (seg - cur)
-				cur = seg
-			}
-		}
+		win.Add(busyArea, now, t, float64(busy))
 		now = t
 	}
 	nextArr := stream.Exp(m.Lambda)
@@ -313,7 +285,7 @@ func Simulate(m Model, cfg SimConfig) (*SimResult, error) {
 			out = 1 + stream.Intn(m.N2-1)
 		}
 		in := stream.Intn(m.N1)
-		b := batchOf(now)
+		b := win.Of(now)
 		accepted := !busyIn[in] && !busyOut[out]
 		if b >= 0 {
 			if isHot {

@@ -125,16 +125,11 @@ func SimulateCrossbar(n1, n2 int, src Source, mu float64, cfg SimConfig) (*Resul
 	if mu <= 0 {
 		return nil, fmt.Errorf("ipp: mu = %v", mu)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("ipp: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("ipp: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("ipp: need >= 2 batches")
-	}
+	batches := win.Batches()
 
 	stream := rng.NewStream(cfg.Seed)
 	busyIn := make([]bool, n1)
@@ -142,8 +137,7 @@ func SimulateCrossbar(n1, n2 int, src Source, mu float64, cfg SimConfig) (*Resul
 	occ := 0
 	on := stream.Float64() < src.POn() // start in stationary phase mix
 
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	rbArea := make([]float64, batches)
 	kArea := make([]float64, batches)
 	offered := make([]int64, batches)
@@ -166,36 +160,10 @@ func SimulateCrossbar(n1, n2 int, src Source, mu float64, cfg SimConfig) (*Resul
 	now := 0.0
 	var events int64
 	advance := func(t float64) {
-		if t <= now {
-			return
-		}
-		t0, t1 := now, math.Min(t, end)
-		if t1 > start && t0 < end {
-			lo := math.Max(t0, start)
-			rb := float64(n1-occ) * float64(n2-occ) / (float64(n1) * float64(n2))
-			for cur := lo; cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				rbArea[b] += rb * (seg - cur)
-				kArea[b] += float64(occ) * (seg - cur)
-				cur = seg
-			}
-		}
+		rb := float64(n1-occ) * float64(n2-occ) / (float64(n1) * float64(n2))
+		win.Add(rbArea, now, t, rb)
+		win.Add(kArea, now, t, float64(occ))
 		now = t
-	}
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
 	}
 
 	for {
@@ -225,13 +193,13 @@ func SimulateCrossbar(n1, n2 int, src Source, mu float64, cfg SimConfig) (*Resul
 			}
 		case 1:
 			nextArr = now + stream.Exp(src.Lambda)
-			if b := batchOf(now); b >= 0 {
+			if b := win.Of(now); b >= 0 {
 				offered[b]++
 			}
 			in := stream.Intn(n1)
 			out := stream.Intn(n2)
 			if busyIn[in] || busyOut[out] {
-				if b := batchOf(now); b >= 0 {
+				if b := win.Of(now); b >= 0 {
 					blocked[b]++
 				}
 				continue

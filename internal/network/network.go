@@ -367,16 +367,11 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("network: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("network: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("network: need >= 2 batches")
-	}
+	batches := win.Batches()
 	stream := rng.NewStream(cfg.Seed)
 	busyIn := make([][]bool, len(n.Switches))
 	busyOut := make([][]bool, len(n.Switches))
@@ -391,24 +386,12 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 	}
 	var deps eventq.Queue[netDeparture]
 
-	start := cfg.Warmup
-	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end := win.End()
 	offered := make([][]int64, len(n.Routes))
 	blocked := make([][]int64, len(n.Routes))
 	for i := range n.Routes {
 		offered[i] = make([]int64, batches)
 		blocked[i] = make([]int64, batches)
-	}
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
 	}
 
 	var events int64
@@ -449,7 +432,7 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 		r := n.Routes[kind]
 		a := r.bw()
 		nextArr[kind] = now + stream.Exp(r.Rate)
-		if b := batchOf(now); b >= 0 {
+		if b := win.Of(now); b >= 0 {
 			offered[kind][b]++
 		}
 		ins := make([][]int, len(r.Path))
@@ -467,7 +450,7 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 			}
 		}
 		if !ok {
-			if b := batchOf(now); b >= 0 {
+			if b := win.Of(now); b >= 0 {
 				blocked[kind][b]++
 			}
 			continue

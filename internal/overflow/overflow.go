@@ -93,16 +93,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Lambda <= 0 || cfg.Mu <= 0 {
 		return nil, fmt.Errorf("overflow: lambda %v, mu %v", cfg.Lambda, cfg.Mu)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("overflow: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("overflow: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("overflow: need >= 2 batches")
-	}
+	batches := win.Batches()
 
 	stream := rng.NewStream(cfg.Seed)
 	pIn := make([]bool, cfg.PrimaryN)
@@ -111,22 +106,11 @@ func Run(cfg Config) (*Result, error) {
 	sOut := make([]bool, cfg.SecondaryN)
 	virtualBusy := 0
 
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	start, end := win.Start(), win.End()
 	type counts struct{ fresh, overflowed, lost int64 }
 	cs := make([]counts, batches)
 	// Virtual infinite-server busy-count time moments.
 	var vArea, vArea2, vTime float64
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 
 	var deps eventq.Queue[departure]
 	nextArr := stream.Exp(cfg.Lambda)
@@ -173,7 +157,7 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 		nextArr = now + stream.Exp(cfg.Lambda)
-		b := batchOf(now)
+		b := win.Of(now)
 		if b >= 0 {
 			cs[b].fresh++
 		}

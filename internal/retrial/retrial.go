@@ -91,16 +91,11 @@ func Run(cfg Config) (*Result, error) {
 	if maxAttempts > 1 && cfg.RetryRate <= 0 {
 		return nil, fmt.Errorf("retrial: retry rate %v with %d attempts", cfg.RetryRate, maxAttempts)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("retrial: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("retrial: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("retrial: need >= 2 batches")
-	}
+	batches := win.Batches()
 
 	stream := rng.NewStream(cfg.Seed)
 	busyIn := make([]bool, cfg.N1)
@@ -108,48 +103,25 @@ func Run(cfg Config) (*Result, error) {
 	connected := 0
 	orbit := 0
 
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	type counts struct{ fresh, freshBlocked, abandoned, attempts int64 }
 	cs := make([]counts, batches)
 	connArea := make([]float64, batches)
 	orbitArea := make([]float64, batches)
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 
 	var evs eventq.Queue[event]
 	evs.Push(stream.Exp(cfg.Lambda), event{kind: 0})
 	now := 0.0
 	var events int64
 	advance := func(t float64) {
-		t1 := math.Min(t, end)
-		if t1 > now && now < end {
-			for cur := math.Max(now, start); cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b < 0 || b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				connArea[b] += float64(connected) * (seg - cur)
-				orbitArea[b] += float64(orbit) * (seg - cur)
-				cur = seg
-			}
-		}
+		win.Add(connArea, now, t, float64(connected))
+		win.Add(orbitArea, now, t, float64(orbit))
 		now = t
 	}
 
 	attempt := func(attempts int) {
 		// One attempt at a uniform route, charging statistics.
-		b := batchOf(now)
+		b := win.Of(now)
 		if b >= 0 {
 			cs[b].attempts++
 		}
@@ -187,7 +159,7 @@ func Run(cfg Config) (*Result, error) {
 		switch ev.kind {
 		case 0:
 			evs.Push(now+stream.Exp(cfg.Lambda), event{kind: 0})
-			if b := batchOf(now); b >= 0 {
+			if b := win.Of(now); b >= 0 {
 				cs[b].fresh++
 			}
 			attempt(1)

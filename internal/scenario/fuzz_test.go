@@ -48,6 +48,9 @@ func FuzzSpec(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	for _, raw := range roundingWindowSpecs {
+		f.Add([]byte(raw))
+	}
 	// Malformed seeds steer the mutator at the decoder's edges.
 	f.Add([]byte(`{"discipline": "slotted"`))
 	f.Add([]byte(`{"discipline": "slotted", "topology": {"n1": -1, "n2": 0}, "params": {"load": 2}}`))

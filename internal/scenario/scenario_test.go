@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"xbar/internal/scenario"
 )
@@ -247,5 +248,52 @@ func TestDisciplinesSorted(t *testing.T) {
 		if ds[i-1] >= ds[i] {
 			t.Errorf("not sorted: %v", ds)
 		}
+	}
+}
+
+// roundingWindowSpecs are simulation specs on warmup 10, horizon 37:
+// with the default 20 batches a batch boundary rounds back into the
+// batch before it, which stalled the simulators' hand-copied batch
+// loops forever. They are also FuzzSpec seeds.
+var roundingWindowSpecs = []string{
+	`{"discipline":"retrial","topology":{"n1":4,"n2":4},"params":{"lambda":2,"mu":1},"sim":{"seed":1,"warmup":10,"horizon":37}}`,
+	`{"discipline":"clos","topology":{"m":5,"n":3,"r":4},"params":{"load":0.7,"mu":1,"policy":"first-fit"},"sim":{"seed":2,"warmup":10,"horizon":37}}`,
+	`{"discipline":"hotspot","topology":{"n1":8,"n2":8},"params":{"lambda":5,"mu":1,"hot_fraction":0.3},"sim":{"seed":6,"warmup":10,"horizon":37}}`,
+	`{"discipline":"wdm","topology":{"l":3,"w":8},"params":{"rate":4,"cross_rate":1,"mu":1,"policy":"random-fit"},"sim":{"seed":3,"warmup":10,"horizon":37}}`,
+}
+
+// TestRoundingWindowTerminates: each simulation discipline finishes on
+// a window whose batch boundaries round, within a deadline, with every
+// measure finite.
+func TestRoundingWindowTerminates(t *testing.T) {
+	for _, raw := range roundingWindowSpecs {
+		s, err := scenario.Decode(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(s.Discipline, func(t *testing.T) {
+			type outcome struct {
+				r   *scenario.Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				r, err := scenario.Evaluate(s)
+				done <- outcome{r, err}
+			}()
+			select {
+			case o := <-done:
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				for _, m := range o.r.Measures {
+					if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) || math.IsNaN(m.HalfWidth) || math.IsInf(m.HalfWidth, 0) {
+						t.Errorf("measure %s = %v ± %v, want finite", m.Name, m.Value, m.HalfWidth)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s did not finish on warmup 10, horizon 37", s.Discipline)
+			}
+		})
 	}
 }

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -557,5 +560,59 @@ func TestScenarioCacheUnit(t *testing.T) {
 			c.run(t, tc)
 			tc.quiescent(t)
 		})
+	}
+}
+
+// TestScenarioRoundingWindow: a retrial simulation on warmup 10,
+// horizon 37, a window whose default 20 batch boundaries round back
+// into the batch before them and used to stall the simulator, answers
+// 200 within a deadline, and its repeat is a bit-identical cache hit.
+func TestScenarioRoundingWindow(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const doc = `{"discipline":"retrial","topology":{"n1":4,"n2":4},"params":{"lambda":2,"mu":1},"sim":{"seed":1,"warmup":10,"horizon":37}}`
+	post := func() ScenarioResponse {
+		t.Helper()
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(doc)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			var resp ScenarioResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		case <-time.After(10 * time.Second):
+			t.Fatal("no response within 10s")
+		}
+		return ScenarioResponse{}
+	}
+	first := post()
+	again := post()
+	if first.Cached || !again.Cached {
+		t.Errorf("cached flags %v then %v, want a miss then a hit", first.Cached, again.Cached)
+	}
+	if len(first.Measures) == 0 || len(again.Measures) != len(first.Measures) {
+		t.Fatalf("measures %d then %d", len(first.Measures), len(again.Measures))
+	}
+	for i, m := range first.Measures {
+		r := again.Measures[i]
+		if m.Name != r.Name || math.Float64bits(m.Value) != math.Float64bits(r.Value) || math.Float64bits(m.HalfWidth) != math.Float64bits(r.HalfWidth) {
+			t.Errorf("measure %d: %+v then %+v", i, m, r)
+		}
+		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+			t.Errorf("measure %s = %v, want finite", m.Name, m.Value)
+		}
 	}
 }

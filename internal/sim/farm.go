@@ -91,7 +91,7 @@ func Farm(fc FarmConfig) (*FarmResult, error) {
 // deterministic merge that makes farm output independent of worker
 // count — and builds pooled intervals.
 func pool(raws []*raw, p runParams, reps int) *FarmResult {
-	batches := p.batches
+	batches := p.win.Batches()
 	minN := p.sw.MinN()
 	nClasses := len(p.sw.Classes)
 	res := &FarmResult{Reps: reps}

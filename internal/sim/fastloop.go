@@ -56,9 +56,9 @@ func (s *state) runFast(maxEvents int64) error {
 		stride   = s.stride
 		maxFix   = s.maxFix
 		batches  = s.batches
-		batchLen = s.batchLen
-		start    = s.start
-		end      = s.end
+		win      = s.win
+		start    = s.win.Start()
+		end      = s.win.End()
 		now      = s.now
 		occ      = s.occ
 		occSince = s.occSince
@@ -196,7 +196,7 @@ loop:
 			if occSince >= curB0 {
 				occTime[occ*batches+curB] += now - occSince
 			} else {
-				accumulate(occTime[occ*batches:(occ+1)*batches], start, batchLen, batches, occSince, now, 1)
+				win.Add(occTime[occ*batches:(occ+1)*batches], occSince, now, 1)
 			}
 			occSince = now
 			occ -= a
@@ -204,7 +204,7 @@ loop:
 			if kSince[r] >= curB0 {
 				kTW[r*batches+curB] += float64(k[r]) * (now - kSince[r])
 			} else {
-				accumulate(kTW[r*batches:(r+1)*batches], start, batchLen, batches, kSince[r], now, float64(k[r]))
+				win.Add(kTW[r*batches:(r+1)*batches], kSince[r], now, float64(k[r]))
 			}
 			kSince[r] = now
 			k[r]--
@@ -213,7 +213,7 @@ loop:
 				if fixSince >= curB0 {
 					fixTime[fixState*batches+curB] += now - fixSince
 				} else {
-					accumulate(fixTime[fixState*batches:(fixState+1)*batches], start, batchLen, batches, fixSince, now, 1)
+					win.Add(fixTime[fixState*batches:(fixState+1)*batches], fixSince, now, 1)
 				}
 				fixSince = now
 				// recomputeFix: lowest busy port below maxFix.
@@ -328,7 +328,7 @@ loop:
 		if occSince >= curB0 {
 			occTime[occ*batches+curB] += now - occSince
 		} else {
-			accumulate(occTime[occ*batches:(occ+1)*batches], start, batchLen, batches, occSince, now, 1)
+			win.Add(occTime[occ*batches:(occ+1)*batches], occSince, now, 1)
 		}
 		occSince = now
 		occ += a
@@ -336,7 +336,7 @@ loop:
 		if kSince[r] >= curB0 {
 			kTW[r*batches+curB] += float64(k[r]) * (now - kSince[r])
 		} else {
-			accumulate(kTW[r*batches:(r+1)*batches], start, batchLen, batches, kSince[r], now, float64(k[r]))
+			win.Add(kTW[r*batches:(r+1)*batches], kSince[r], now, float64(k[r]))
 		}
 		kSince[r] = now
 		k[r]++
@@ -345,7 +345,7 @@ loop:
 			if fixSince >= curB0 {
 				fixTime[fixState*batches+curB] += now - fixSince
 			} else {
-				accumulate(fixTime[fixState*batches:(fixState+1)*batches], start, batchLen, batches, fixSince, now, 1)
+				win.Add(fixTime[fixState*batches:(fixState+1)*batches], fixSince, now, 1)
 			}
 			fixSince = now
 			// recomputeFix: lowest busy port below maxFix.
@@ -403,12 +403,12 @@ loop:
 		// slow path (the last spans may cross any number of batches).
 		now = end
 		curB0 = math.Inf(1)
-		accumulate(occTime[occ*batches:(occ+1)*batches], start, batchLen, batches, occSince, now, 1)
+		win.Add(occTime[occ*batches:(occ+1)*batches], occSince, now, 1)
 		occSince = now
-		accumulate(fixTime[fixState*batches:(fixState+1)*batches], start, batchLen, batches, fixSince, now, 1)
+		win.Add(fixTime[fixState*batches:(fixState+1)*batches], fixSince, now, 1)
 		fixSince = now
 		for r := range classes {
-			accumulate(kTW[r*batches:(r+1)*batches], start, batchLen, batches, kSince[r], now, float64(k[r]))
+			win.Add(kTW[r*batches:(r+1)*batches], kSince[r], now, float64(k[r]))
 			kSince[r] = now
 		}
 	}

@@ -128,7 +128,7 @@ const defaultMaxEvents = 50_000_000
 type runParams struct {
 	sw        core.Switch
 	service   []rng.ServiceDist
-	batches   int
+	win       stats.Window
 	level     float64
 	maxEvents int64
 }
@@ -140,19 +140,11 @@ func prepare(cfg Config) (runParams, error) {
 	if err := p.sw.Validate(); err != nil {
 		return p, err
 	}
-	if cfg.Horizon <= 0 {
-		return p, fmt.Errorf("sim: horizon must be positive, got %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return p, fmt.Errorf("sim: %w", err)
 	}
-	if cfg.Warmup < 0 {
-		return p, fmt.Errorf("sim: negative warmup %v", cfg.Warmup)
-	}
-	p.batches = cfg.Batches
-	if p.batches == 0 {
-		p.batches = 20
-	}
-	if p.batches < 2 {
-		return p, fmt.Errorf("sim: need at least 2 batches, got %d", p.batches)
-	}
+	p.win = win
 	p.level = cfg.Level
 	if p.level == 0 { //lint:allow floatcmp zero value of Config.Level selects the default (Go zero-value idiom)
 		p.level = 0.95
@@ -191,7 +183,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := s.run(p.maxEvents); err != nil {
 		return nil, err
 	}
-	return finalize(s.extract(), p.level, p.batches), nil
+	return finalize(s.extract(), p.level, p.win.Batches()), nil
 }
 
 // conn is the compact departure record carried through the event
@@ -258,12 +250,9 @@ type state struct {
 	depC    []conn
 	depMin  int // cached argmin of depAt, -1 when invalid
 
-	now         float64
-	start       float64 // measurement start (= warmup)
-	end         float64
-	batchLen    float64
-	invBatchLen float64
-	batches     int
+	now     float64
+	win     stats.Window
+	batches int
 
 	// Current measurement batch, advanced monotonically by the run
 	// loop: curB is the batch index of s.now, valid on [curB0, curB1).
@@ -318,25 +307,22 @@ type state struct {
 func newState(p runParams, cfg Config) *state {
 	sw := p.sw
 	minN := sw.MinN()
-	batches := p.batches
+	batches := p.win.Batches()
 	s := &state{
-		sw:       sw,
-		nextArr:  make([]float64, len(sw.Classes)),
-		busyIn:   make([]bool, sw.N1),
-		busyOut:  make([]bool, sw.N2),
-		k:        make([]int, len(sw.Classes)),
-		start:    cfg.Warmup,
-		end:      cfg.Warmup + cfg.Horizon,
-		batchLen: cfg.Horizon / float64(batches),
-		batches:  batches,
-		kSince:   make([]float64, len(sw.Classes)),
-		kTW:      make([]float64, len(sw.Classes)*batches),
-		offered:  make([]int64, len(sw.Classes)*batches),
-		blocked:  make([]int64, len(sw.Classes)*batches),
-		occTime:  make([]float64, (minN+1)*batches),
-		admit:    cfg.Admit,
+		sw:      sw,
+		nextArr: make([]float64, len(sw.Classes)),
+		busyIn:  make([]bool, sw.N1),
+		busyOut: make([]bool, sw.N2),
+		k:       make([]int, len(sw.Classes)),
+		win:     p.win,
+		batches: batches,
+		kSince:  make([]float64, len(sw.Classes)),
+		kTW:     make([]float64, len(sw.Classes)*batches),
+		offered: make([]int64, len(sw.Classes)*batches),
+		blocked: make([]int64, len(sw.Classes)*batches),
+		occTime: make([]float64, (minN+1)*batches),
+		admit:   cfg.Admit,
 	}
-	s.invBatchLen = 1 / s.batchLen
 	maxA := 0
 	for r, c := range sw.Classes {
 		routes := combin.Perm(sw.N1, c.A) * combin.Perm(sw.N2, c.A)
@@ -456,11 +442,8 @@ func (s *state) reset(stream *rng.Stream) {
 	s.events = 0
 	s.fixState = s.maxFix
 	s.curB = 0
-	s.curB0 = s.start
-	s.curB1 = s.start + s.batchLen
-	if s.batches == 1 {
-		s.curB1 = math.Inf(1)
-	}
+	s.curB0 = s.win.Start()
+	s.curB1 = s.win.Start() + s.win.BatchLen()
 	s.free = s.free[:0]
 	for i := len(s.ports)/max(s.stride, 1) - 1; i >= 0; i-- {
 		s.free = append(s.free, int32(i))
@@ -486,59 +469,11 @@ func (s *state) sampleArrival(t float64, cs *classSim, k int) float64 {
 	return t + s.rng.ExpUnit()*inv
 }
 
-// accumulate adds value*dt over [t0, t1) to the per-batch areas in
-// out, clipping to the measurement window [start, start +
-// batchLen*batches) and splitting across batch boundaries. The
-// overwhelmingly common case — both endpoints inside one batch — is a
-// single add; only spans that actually cross boundaries pay the
-// splitting loop, which is O(spanned batches).
-func accumulate(out []float64, start, batchLen float64, batches int, t0, t1, value float64) {
-	if value == 0 { //lint:allow floatcmp skips exactly-zero accumulation; tiny areas must still integrate
-		return
-	}
-	end := start + batchLen*float64(batches)
-	if t0 < start {
-		t0 = start
-	}
-	if t1 > end {
-		t1 = end
-	}
-	if t0 >= t1 {
-		return
-	}
-	b := int((t0 - start) / batchLen)
-	if b >= batches {
-		return
-	}
-	bEnd := start + batchLen*float64(b+1)
-	if t1 <= bEnd {
-		// Fast path: the whole span falls in batch b.
-		out[b] += value * (t1 - t0)
-		return
-	}
-	for {
-		seg := t1
-		if bEnd < seg {
-			seg = bEnd
-		}
-		out[b] += value * (seg - t0)
-		t0 = seg
-		if t0 >= t1 {
-			return
-		}
-		b++
-		if b >= batches {
-			return
-		}
-		bEnd = start + batchLen*float64(b+1)
-	}
-}
-
 // flush adds value*dt over [t0, s.now) to the per-batch areas in out
 // (one contiguous histogram row), clipping to the measurement window.
 // The overwhelmingly common case — a span inside the current batch —
 // is one comparison and one add; warmup spans and batch-crossing
-// spans fall through to accumulate, which clips and splits.
+// spans fall through to the window's Add, which clips and splits.
 func (s *state) flush(out []float64, t0, value float64) {
 	if t0 >= s.curB0 {
 		// s.now < s.curB1 by the run-loop invariant, so the whole
@@ -546,7 +481,7 @@ func (s *state) flush(out []float64, t0, value float64) {
 		out[s.curB] += value * (s.now - t0)
 		return
 	}
-	accumulate(out, s.start, s.batchLen, s.batches, t0, s.now, value)
+	s.win.Add(out, t0, s.now, value)
 }
 
 // advanceBatch moves the current-batch window forward to contain t.
@@ -555,7 +490,7 @@ func (s *state) advanceBatch(t float64) {
 	for t >= s.curB1 && s.curB < s.batches-1 {
 		s.curB++
 		s.curB0 = s.curB1
-		s.curB1 += s.batchLen
+		s.curB1 += s.win.BatchLen()
 	}
 	if s.curB == s.batches-1 {
 		// Last batch: everything up to the horizon lands here, and
@@ -640,8 +575,8 @@ func (s *state) runGeneric(maxEvents int64) error {
 				kind = r
 			}
 		}
-		if kind == -1 || t >= s.end {
-			s.now = s.end
+		if kind == -1 || t >= s.win.End() {
+			s.now = s.win.End()
 			// Force the final flushes through the clipping slow path:
 			// the last spans may cross any number of batches.
 			s.curB0 = math.Inf(1)
@@ -714,10 +649,10 @@ func (s *state) arrive(r int) {
 	cs := &s.classes[r]
 	a := cs.a
 	// Measurement batch of this arrival instant, read off the run
-	// loop's current-batch cursor; -1 during warmup (s.now < s.end
+	// loop's current-batch cursor; -1 during warmup (s.now < s.win.End()
 	// always holds for events).
 	b := -1
-	if s.now >= s.start {
+	if s.now >= s.win.Start() {
 		b = s.curB
 		s.offered[r*s.batches+b]++
 	}
@@ -853,7 +788,7 @@ func (s *state) extract() *raw {
 		occHist: make([]float64, minN+1),
 		classes: make([]rawClass, len(s.classes)),
 	}
-	inv := 1 / s.batchLen
+	inv := 1 / s.win.BatchLen()
 	for st := 0; st <= minN; st++ {
 		row := s.occTime[st*b : (st+1)*b]
 		tot := 0.0

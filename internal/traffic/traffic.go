@@ -208,16 +208,11 @@ func Simulate(m Matrix, cfg SimConfig) (*Result, error) {
 	if cfg.Lambda <= 0 || cfg.Mu <= 0 {
 		return nil, fmt.Errorf("traffic: lambda %v, mu %v", cfg.Lambda, cfg.Mu)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("traffic: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("traffic: need >= 2 batches")
-	}
+	batches := win.Batches()
 	n1, n2 := m.Dims()
 
 	// Flattened cumulative weights for route sampling by binary
@@ -235,40 +230,17 @@ func Simulate(m Matrix, cfg SimConfig) (*Result, error) {
 	busyIn := make([]bool, n1)
 	busyOut := make([]bool, n2)
 	connected := 0
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	offered := make([]int64, batches)
 	blocked := make([]int64, batches)
 	connArea := make([]float64, batches)
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 
 	var deps eventq.Queue[departure]
 	nextArr := stream.Exp(cfg.Lambda)
 	now := 0.0
 	var events int64
 	advance := func(t float64) {
-		t1 := math.Min(t, end)
-		if t1 > now && now < end {
-			for cur := math.Max(now, start); cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b < 0 || b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				connArea[b] += float64(connected) * (seg - cur)
-				cur = seg
-			}
-		}
+		win.Add(connArea, now, t, float64(connected))
 		now = t
 	}
 
@@ -292,7 +264,7 @@ func Simulate(m Matrix, cfg SimConfig) (*Result, error) {
 			continue
 		}
 		nextArr = now + stream.Exp(cfg.Lambda)
-		b := batchOf(now)
+		b := win.Of(now)
 		if b >= 0 {
 			offered[b]++
 		}

@@ -164,16 +164,11 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("wdm: horizon %v", cfg.Horizon)
+	win, err := stats.NewWindow(cfg.Warmup, cfg.Horizon, cfg.Batches)
+	if err != nil {
+		return nil, fmt.Errorf("wdm: %w", err)
 	}
-	batches := cfg.Batches
-	if batches == 0 {
-		batches = 20
-	}
-	if batches < 2 {
-		return nil, fmt.Errorf("wdm: need >= 2 batches")
-	}
+	batches := win.Batches()
 	if cfg.Assignment != FirstFit && cfg.Assignment != RandomFit {
 		return nil, fmt.Errorf("wdm: unknown assignment %v", cfg.Assignment)
 	}
@@ -186,22 +181,11 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 	}
 	busyCount := 0
 
-	start, end := cfg.Warmup, cfg.Warmup+cfg.Horizon
-	batchLen := cfg.Horizon / float64(batches)
+	end, batchLen := win.End(), win.BatchLen()
 	type counts struct{ offered, blocked int64 }
 	e2e := make([]counts, batches)
 	cross := make([]counts, batches)
 	utilArea := make([]float64, batches)
-	batchOf := func(t float64) int {
-		if t < start || t >= end {
-			return -1
-		}
-		b := int((t - start) / batchLen)
-		if b >= batches {
-			b = batches - 1
-		}
-		return b
-	}
 
 	var deps eventq.Queue[teardown]
 	now := 0.0
@@ -212,20 +196,7 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 		nextCross = stream.Exp(p.CrossRate * float64(p.L))
 	}
 	advance := func(t float64) {
-		t1 := math.Min(t, end)
-		if t1 > now && now < end {
-			util := float64(busyCount) / float64(p.L*p.W)
-			for cur := math.Max(now, start); cur < t1; {
-				b := int((cur - start) / batchLen)
-				if b < 0 || b >= batches {
-					break
-				}
-				bEnd := start + batchLen*float64(b+1)
-				seg := math.Min(t1, bEnd)
-				utilArea[b] += util * (seg - cur)
-				cur = seg
-			}
-		}
+		win.Add(utilArea, now, t, float64(busyCount)/float64(p.L*p.W))
 		now = t
 	}
 
@@ -272,7 +243,7 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 		case 1:
 			nextCross = now + stream.Exp(p.CrossRate*float64(p.L))
 			l := stream.Intn(p.L)
-			b := batchOf(now)
+			b := win.Of(now)
 			if b >= 0 {
 				cross[b].offered++
 			}
@@ -290,7 +261,7 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 			})
 		case 0:
 			nextE2E = now + stream.Exp(p.Rate)
-			b := batchOf(now)
+			b := win.Of(now)
 			if b >= 0 {
 				e2e[b].offered++
 			}
