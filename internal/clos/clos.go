@@ -328,16 +328,8 @@ func Simulate(c Network, cfg SimConfig) (*Result, error) {
 		}
 		utilB = append(utilB, utilArea[b]/batchLen)
 	}
-	if len(callB) >= 2 {
-		res.CallBlocking = stats.BatchMeans(callB, 0.95)
-	} else {
-		res.CallBlocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-	}
-	if len(intB) >= 2 {
-		res.InternalBlocking = stats.BatchMeans(intB, 0.95)
-	} else {
-		res.InternalBlocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-	}
+	res.CallBlocking = stats.BatchCI(callB, 0.95)
+	res.InternalBlocking = stats.BatchCI(intB, 0.95)
 	res.LinkUtilization = stats.BatchMeans(utilB, 0.95).Mean
 	return res, nil
 }

@@ -16,7 +16,6 @@ package hotspot
 
 import (
 	"fmt"
-	"math"
 
 	"xbar/internal/eventq"
 	"xbar/internal/rng"
@@ -316,10 +315,7 @@ func Simulate(m Model, cfg SimConfig) (*SimResult, error) {
 				ratios = append(ratios, float64(c.blocked)/float64(c.offered))
 			}
 		}
-		if len(ratios) < 2 {
-			return stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-		}
-		return stats.BatchMeans(ratios, 0.95)
+		return stats.BatchCI(ratios, 0.95)
 	}
 	all := make([]counts, batches)
 	for b := range all {

@@ -230,11 +230,7 @@ func SimulateCrossbar(n1, n2 int, src Source, mu float64, cfg SimConfig) (*Resul
 	}
 	res.TimeNonBlocking = stats.BatchMeans(rbB, 0.95)
 	res.Concurrency = stats.BatchMeans(kB, 0.95)
-	if len(ratios) >= 2 {
-		res.CallBlocking = stats.BatchMeans(ratios, 0.95)
-	} else {
-		res.CallBlocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-	}
+	res.CallBlocking = stats.BatchCI(ratios, 0.95)
 	return res, nil
 }
 

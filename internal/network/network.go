@@ -479,11 +479,7 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 				ratios = append(ratios, float64(blocked[i][b])/float64(offered[i][b]))
 			}
 		}
-		if len(ratios) >= 2 {
-			res.RouteBlocking[i] = stats.BatchMeans(ratios, 0.95)
-		} else {
-			res.RouteBlocking[i] = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-		}
+		res.RouteBlocking[i] = stats.BatchCI(ratios, 0.95)
 	}
 	return res, nil
 }

@@ -199,14 +199,8 @@ func Run(cfg Config) (*Result, error) {
 			secB = append(secB, float64(cs[b].lost)/float64(cs[b].overflowed))
 		}
 	}
-	ciOf := func(vals []float64) stats.CI {
-		if len(vals) < 2 {
-			return stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-		}
-		return stats.BatchMeans(vals, 0.95)
-	}
-	res.PrimaryBlocking = ciOf(primB)
-	res.SecondaryBlocking = ciOf(secB)
+	res.PrimaryBlocking = stats.BatchCI(primB, 0.95)
+	res.SecondaryBlocking = stats.BatchCI(secB, 0.95)
 	if vTime > 0 {
 		mean := vArea / vTime
 		variance := vArea2/vTime - mean*mean

@@ -14,7 +14,6 @@ package retrial
 
 import (
 	"fmt"
-	"math"
 
 	"xbar/internal/core"
 	"xbar/internal/eventq"
@@ -189,15 +188,9 @@ func Run(cfg Config) (*Result, error) {
 	if totalFresh > 0 {
 		res.MeanAttempts = float64(totalAttempts) / float64(totalFresh)
 	}
-	ciOf := func(vals []float64) stats.CI {
-		if len(vals) < 2 {
-			return stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-		}
-		return stats.BatchMeans(vals, 0.95)
-	}
-	res.Abandonment = ciOf(abandonB)
-	res.FirstAttemptBlocking = ciOf(firstB)
-	res.Concurrency = ciOf(connB)
+	res.Abandonment = stats.BatchCI(abandonB, 0.95)
+	res.FirstAttemptBlocking = stats.BatchCI(firstB, 0.95)
+	res.Concurrency = stats.BatchCI(connB, 0.95)
 	return res, nil
 }
 

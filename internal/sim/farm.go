@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"xbar/internal/parallel"
 	"xbar/internal/rng"
@@ -145,11 +144,7 @@ func pool(raws []*raw, p runParams, reps int) *FarmResult {
 			TimeNonBlocking: stats.BatchMeans(rbB, p.level),
 			FixedRouteIdle:  stats.BatchMeans(fxB, p.level),
 		}
-		if len(blockB) >= 2 {
-			cr.CallBlocking = stats.BatchMeans(blockB, p.level)
-		} else {
-			cr.CallBlocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), SE: math.Inf(1), Level: p.level}
-		}
+		cr.CallBlocking = stats.BatchCI(blockB, p.level)
 		res.Classes = append(res.Classes, cr)
 	}
 	return res

@@ -870,11 +870,7 @@ func finalize(w *raw, level float64, batches int) *Result {
 			TimeNonBlocking: stats.BatchMeans(rc.rbB, level),
 			FixedRouteIdle:  stats.BatchMeans(rc.fxB, level),
 		}
-		if len(blockBatches) >= 2 {
-			cr.CallBlocking = stats.BatchMeans(blockBatches, level)
-		} else {
-			cr.CallBlocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), SE: math.Inf(1), Level: level}
-		}
+		cr.CallBlocking = stats.BatchCI(blockBatches, level)
 		res.Classes = append(res.Classes, cr)
 	}
 	return res

@@ -114,10 +114,6 @@ func Simulate(n, m int, p float64, slots int, seed uint64) (*Result, error) {
 		PerOutput: stats.BatchMeans(outB, 0.95),
 		Offered:   offeredTotal,
 	}
-	if len(accB) >= 2 {
-		res.Acceptance = stats.BatchMeans(accB, 0.95)
-	} else {
-		res.Acceptance = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-	}
+	res.Acceptance = stats.BatchCI(accB, 0.95)
 	return res, nil
 }

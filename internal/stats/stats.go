@@ -128,6 +128,17 @@ func BatchMeans(batches []float64, level float64) CI {
 	return ci
 }
 
+// BatchCI is BatchMeans when at least two batches carry an estimate,
+// and otherwise the no-data interval NaN ± Inf: a ratio measured in
+// fewer than two batches (say, blocking of a class that saw no
+// arrivals) has no mean worth reporting and no spread at all.
+func BatchCI(batches []float64, level float64) CI {
+	if len(batches) < 2 {
+		return CI{Mean: math.NaN(), HalfWidth: math.Inf(1), SE: math.Inf(1), Level: level, N: len(batches)}
+	}
+	return BatchMeans(batches, level)
+}
+
 // t-distribution two-sided critical values at the 95% level for small
 // degrees of freedom; beyond the table the normal quantile is close
 // enough.

@@ -191,3 +191,18 @@ func TestNormalQuantilePanics(t *testing.T) {
 	}()
 	normalQuantile(0)
 }
+
+// TestBatchCI: fewer than two batches give the no-data interval
+// NaN ± Inf; two or more are BatchMeans exactly.
+func TestBatchCI(t *testing.T) {
+	for _, xs := range [][]float64{nil, {0.25}} {
+		ci := BatchCI(xs, 0.99)
+		if !math.IsNaN(ci.Mean) || !math.IsInf(ci.HalfWidth, 1) || !math.IsInf(ci.SE, 1) || ci.Level != 0.99 || ci.N != len(xs) {
+			t.Errorf("BatchCI(%v) = %+v, want NaN ± Inf at 0.99 with N %d", xs, ci, len(xs))
+		}
+	}
+	xs := []float64{0.1, 0.3, 0.2}
+	if got, want := BatchCI(xs, 0.95), BatchMeans(xs, 0.95); got != want {
+		t.Errorf("BatchCI(%v) = %+v, want BatchMeans %+v", xs, got, want)
+	}
+}

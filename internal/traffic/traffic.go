@@ -301,11 +301,7 @@ func Simulate(m Matrix, cfg SimConfig) (*Result, error) {
 			ratios = append(ratios, float64(blocked[b])/float64(offered[b]))
 		}
 	}
-	if len(ratios) >= 2 {
-		res.Blocking = stats.BatchMeans(ratios, 0.95)
-	} else {
-		res.Blocking = stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-	}
+	res.Blocking = stats.BatchCI(ratios, 0.95)
 	res.Concurrency = stats.BatchMeans(connB, 0.95)
 	return res, nil
 }

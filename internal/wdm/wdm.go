@@ -339,10 +339,7 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 				ratios = append(ratios, float64(c.blocked)/float64(c.offered))
 			}
 		}
-		if len(ratios) < 2 {
-			return stats.CI{Mean: math.NaN(), HalfWidth: math.Inf(1), Level: 0.95}
-		}
-		return stats.BatchMeans(ratios, 0.95)
+		return stats.BatchCI(ratios, 0.95)
 	}
 	utilB := make([]float64, batches)
 	var offered int64
