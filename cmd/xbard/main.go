@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -123,6 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "xbard:", err)
 		code = 1
 	}
+	// The -memprofile heap profile is written by stopProf, after the
+	// drain: the server and its solver cache must stay reachable until
+	// then, or the profile shows an emptied heap.
+	runtime.KeepAlive(srv)
 	return code
 }
 
