@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// DefaultBatches is the batch count NewWindow selects for batches 0.
-const DefaultBatches = 20
+// defaultBatches is the batch count NewWindow selects for batches 0.
+const defaultBatches = 20
 
 // Window is the measurement window of an event-driven simulation:
 // [warmup, warmup+horizon) split into equal batches for batch-means
@@ -17,14 +17,10 @@ type Window struct {
 	start, end float64 // [warmup, warmup+horizon)
 	batchLen   float64
 	batches    int
-	// stop is where Add stops crediting: end, or the last batch's
-	// computed boundary start+batchLen*batches when that rounds below
-	// end.
-	stop float64
 }
 
 // NewWindow validates a simulation's run length and resolves its
-// defaults: batches 0 means DefaultBatches; warmup must be finite and
+// defaults: batches 0 means 20; warmup must be finite and
 // non-negative; horizon finite and positive; at least 2 batches.
 func NewWindow(warmup, horizon float64, batches int) (Window, error) {
 	if math.IsNaN(warmup) || math.IsInf(warmup, 0) {
@@ -40,7 +36,7 @@ func NewWindow(warmup, horizon float64, batches int) (Window, error) {
 		return Window{}, fmt.Errorf("horizon must be positive, got %v", horizon)
 	}
 	if batches == 0 {
-		batches = DefaultBatches
+		batches = defaultBatches
 	}
 	if batches < 2 {
 		return Window{}, fmt.Errorf("need at least 2 batches, got %d", batches)
@@ -54,7 +50,6 @@ func NewWindow(warmup, horizon float64, batches int) (Window, error) {
 	if math.IsInf(w.end, 0) || !(w.batchLen > 0) {
 		return Window{}, fmt.Errorf("warmup %v, horizon %v and %d batches overflow the window", warmup, horizon, batches)
 	}
-	w.stop = math.Min(w.end, w.start+w.batchLen*float64(batches))
 	return w, nil
 }
 
@@ -96,8 +91,14 @@ func (w Window) Add(out []float64, t0, t1, v float64) {
 	if t0 < w.start {
 		t0 = w.start
 	}
-	if t1 > w.stop {
-		t1 = w.stop
+	// The last batch ends at its computed boundary, or at end when
+	// that boundary rounds past it.
+	stop := w.start + w.batchLen*float64(w.batches)
+	if stop > w.end {
+		stop = w.end
+	}
+	if t1 > stop {
+		t1 = stop
 	}
 	if !(t0 < t1) {
 		return

@@ -150,7 +150,7 @@ func TestWindowAddTerminatesOnRoundingWindows(t *testing.T) {
 // TestNewWindow checks the run-length rules every simulator shares.
 func TestNewWindow(t *testing.T) {
 	w := mustWindow(t, 5, 100, 0)
-	if w.Batches() != DefaultBatches || w.BatchLen() != 5 || w.Start() != 5 || w.End() != 105 {
+	if w.Batches() != defaultBatches || w.BatchLen() != 5 || w.Start() != 5 || w.End() != 105 {
 		t.Errorf("defaults: got %+v", w)
 	}
 	bad := []struct {
