@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -10,6 +9,8 @@ import (
 	"net"
 	"strconv"
 	"time"
+
+	"xbar/internal/httpwire"
 )
 
 // The forward hop's HTTP/1.1 client. Each peer keeps a LIFO pool of
@@ -33,7 +34,7 @@ const (
 // errMalformed reports a response outside readResponse's subset. Like
 // any transport error it fails the attempt, and the caller falls over
 // to local compute.
-var errMalformed = errors.New("cluster: malformed peer response")
+var errMalformed = httpwire.ErrMalformed
 
 // errStale reports a pooled connection that failed before the first
 // response byte: the peer closed it while it sat idle.
@@ -187,7 +188,7 @@ func (pc *peerConn) roundTrip(req request, p *Peer) (res response, answered bool
 func readResponse(br *bufio.Reader, node string) (response, error) {
 	var res response
 	budget := maxHeaderBytes
-	line, err := readLine(br, &budget)
+	line, err := httpwire.ReadLine(br, &budget)
 	if err != nil {
 		return res, err
 	}
@@ -208,38 +209,38 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 	length := -1
 	var chunked, closing, sawType, sawNode bool
 	for {
-		line, err := readLine(br, &budget)
+		line, err := httpwire.ReadLine(br, &budget)
 		if err != nil {
 			return res, err
 		}
 		if len(line) == 0 {
 			break
 		}
-		name, value, ok := splitHeader(line)
+		name, value, ok := httpwire.SplitHeader(line)
 		if !ok {
 			return res, errMalformed
 		}
 		switch {
-		case equalFold(name, "Content-Length"):
+		case httpwire.EqualFold(name, "Content-Length"):
 			n, err := strconv.ParseUint(string(value), 10, 63)
 			if length >= 0 || err != nil || n > maxBodyBytes {
 				return res, errMalformed
 			}
 			length = int(n)
-		case equalFold(name, "Transfer-Encoding"):
-			if chunked || !equalFold(value, "chunked") {
+		case httpwire.EqualFold(name, "Transfer-Encoding"):
+			if chunked || !httpwire.EqualFold(value, "chunked") {
 				return res, errMalformed
 			}
 			chunked = true
-		case equalFold(name, "Trailer"):
+		case httpwire.EqualFold(name, "Trailer"):
 			return res, errMalformed
-		case equalFold(name, "Connection"):
-			closing = closing || hasToken(value, "close")
-		case equalFold(name, "Content-Type"):
+		case httpwire.EqualFold(name, "Connection"):
+			closing = closing || httpwire.HasToken(value, "close")
+		case httpwire.EqualFold(name, "Content-Type"):
 			if !sawType {
 				res.contentType, sawType = intern(value, "application/json"), true
 			}
-		case equalFold(name, HeaderNode):
+		case httpwire.EqualFold(name, HeaderNode):
 			if !sawNode {
 				res.servedBy, sawNode = intern(value, node), true
 			}
@@ -267,45 +268,6 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 	return res, err
 }
 
-// readLine returns the next CRLF-terminated line without its CRLF,
-// charging it to budget.
-func readLine(br *bufio.Reader, budget *int) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch {
-	case err == bufio.ErrBufferFull:
-		return nil, errMalformed
-	case err == io.EOF:
-		return nil, io.ErrUnexpectedEOF
-	case err != nil:
-		return nil, err
-	}
-	*budget -= len(line)
-	if *budget < 0 || len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, errMalformed
-	}
-	return line[:len(line)-2], nil
-}
-
-// splitHeader splits a header line into its name, which must be
-// token bytes, and its value, trimmed of spaces and tabs, which must
-// be printable ASCII and tabs.
-func splitHeader(line []byte) (name, value []byte, ok bool) {
-	i := 0
-	for i < len(line) && isToken(line[i]) {
-		i++
-	}
-	if i == 0 || i == len(line) || line[i] != ':' {
-		return nil, nil, false
-	}
-	name, value = line[:i], trimOWS(line[i+1:])
-	for _, c := range value {
-		if (c < ' ' || c > '~') && c != '\t' {
-			return nil, nil, false
-		}
-	}
-	return name, value, true
-}
-
 // readChunked reads a chunked body whose size lines are one to eight
 // hex digits, ending at the zero-size chunk and its empty trailer.
 func readChunked(br *bufio.Reader) ([]byte, error) {
@@ -313,7 +275,7 @@ func readChunked(br *bufio.Reader) ([]byte, error) {
 	var crlf [2]byte
 	budget := maxBodyBytes // bounds the size lines; the sizes bound the data
 	for {
-		line, err := readLine(br, &budget)
+		line, err := httpwire.ReadLine(br, &budget)
 		if err != nil {
 			return nil, err
 		}
@@ -341,55 +303,12 @@ func readChunked(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// hasToken reports whether the comma-separated list v holds token,
-// compared case-insensitively (net/http's reading of Connection).
-func hasToken(v []byte, token string) bool {
-	for {
-		item, rest, more := bytes.Cut(v, []byte{','})
-		if equalFold(trimOWS(item), token) {
-			return true
-		}
-		if !more {
-			return false
-		}
-		v = rest
-	}
-}
-
-func trimOWS(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// equalFold compares ASCII b and s case-insensitively.
-func equalFold(b []byte, s string) bool {
-	return bytes.EqualFold(b, []byte(s))
-}
-
 // intern returns common when b spells it, sparing the allocation.
 func intern(b []byte, common string) string {
 	if string(b) == common {
 		return common
 	}
 	return string(b)
-}
-
-// isToken reports an RFC 9110 tchar.
-func isToken(c byte) bool {
-	switch {
-	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		return true
-	}
-	switch c {
-	case '!', '#', '$', '%', '&', '\'', '*', '+', '-', '.', '^', '_', '`', '|', '~':
-		return true
-	}
-	return false
 }
 
 // dialPeer is a peer's default dial: TCP to the peer's address, then

@@ -339,9 +339,21 @@ type SimResult struct {
 
 type netDeparture struct {
 	route int
-	// ins[h]/outs[h] are the port sets held at hop h (bandwidth entries
-	// per hop).
-	ins, outs [][]int
+	// ports holds, hop by hop, the bandwidth input ports and then the
+	// bandwidth output ports the connection seized; it goes back to
+	// the route's free sets on departure.
+	ports []int
+}
+
+// maxConnections bounds the connections route r holds at once: each
+// takes bandwidth distinct inputs and outputs on every switch of its
+// path.
+func maxConnections(n Network, r Route) int {
+	m := math.MaxInt
+	for _, s := range r.Path {
+		m = min(m, n.Switches[s].N1, n.Switches[s].N2)
+	}
+	return m / r.bw()
 }
 
 // sampleDistinct fills out with a distinct uniform indices from [0, n)
@@ -384,7 +396,21 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 	for i, r := range n.Routes {
 		nextArr[i] = stream.Exp(r.Rate)
 	}
-	var deps eventq.Queue[netDeparture]
+	// Each route gets one port set per connection it can hold at once,
+	// made up front; a departure hands its set back, so the event loop
+	// does not allocate.
+	free := make([][][]int, len(n.Routes))
+	slots, width := 0, 0
+	for i, r := range n.Routes {
+		w := 2 * r.bw() * len(r.Path)
+		for range maxConnections(n, r) {
+			free[i] = append(free[i], make([]int, w))
+		}
+		slots += len(free[i])
+		width = max(width, w)
+	}
+	scratch := make([]int, width)
+	deps := eventq.New[netDeparture](slots)
 
 	end := win.End()
 	offered := make([][]int64, len(n.Routes))
@@ -417,14 +443,17 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 		if kind == -2 {
 			_, d := deps.Pop()
 			r := n.Routes[d.route]
+			a := r.bw()
 			for h, s := range r.Path {
-				for _, p := range d.ins[h] {
+				hop := d.ports[2*a*h : 2*a*(h+1)]
+				for _, p := range hop[:a] {
 					busyIn[s][p] = false
 				}
-				for _, p := range d.outs[h] {
+				for _, p := range hop[a:] {
 					busyOut[s][p] = false
 				}
 			}
+			free[d.route] = append(free[d.route], d.ports)
 			continue
 		}
 		// Arrival on route kind: seize bandwidth distinct inputs and
@@ -435,16 +464,14 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 		if b := win.Of(now); b >= 0 {
 			offered[kind][b]++
 		}
-		ins := make([][]int, len(r.Path))
-		outs := make([][]int, len(r.Path))
+		ports := scratch[:2*a*len(r.Path)]
 		ok := true
 		for h, s := range r.Path {
-			ins[h] = make([]int, a)
-			outs[h] = make([]int, a)
-			sampleDistinct(stream, n.Switches[s].N1, a, ins[h])
-			sampleDistinct(stream, n.Switches[s].N2, a, outs[h])
+			ins, outs := ports[2*a*h:2*a*h+a], ports[2*a*h+a:2*a*(h+1)]
+			sampleDistinct(stream, n.Switches[s].N1, a, ins)
+			sampleDistinct(stream, n.Switches[s].N2, a, outs)
 			for i := 0; i < a; i++ {
-				if busyIn[s][ins[h][i]] || busyOut[s][outs[h][i]] {
+				if busyIn[s][ins[i]] || busyOut[s][outs[i]] {
 					ok = false
 				}
 			}
@@ -457,11 +484,15 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 		}
 		for h, s := range r.Path {
 			for i := 0; i < a; i++ {
-				busyIn[s][ins[h][i]] = true
-				busyOut[s][outs[h][i]] = true
+				busyIn[s][ports[2*a*h+i]] = true
+				busyOut[s][ports[2*a*h+a+i]] = true
 			}
 		}
-		deps.Push(now+stream.Exp(r.Mu), netDeparture{route: kind, ins: ins, outs: outs})
+		k := len(free[kind]) - 1
+		held := free[kind][k]
+		free[kind] = free[kind][:k]
+		copy(held, ports)
+		deps.Push(now+stream.Exp(r.Mu), netDeparture{route: kind, ports: held})
 	}
 
 	res := &SimResult{

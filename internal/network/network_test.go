@@ -290,3 +290,22 @@ func TestFixedPointGridSharing(t *testing.T) {
 		t.Fatalf("more fills than distinct models: %+v", s)
 	}
 }
+
+// TestSimulateAllocsFlatInHorizon pins an event loop that allocates
+// nothing per arrival or departure: a run four times as long allocates
+// no more than the short one.
+func TestSimulateAllocsFlatInHorizon(t *testing.T) {
+	net := tandem()
+	net.Routes = append(net.Routes, Route{Path: []int{0, 1}, Rate: 0.5, Mu: 1, Bandwidth: 2})
+	allocs := func(horizon float64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Simulate(net, SimConfig{Seed: 9, Warmup: 100, Horizon: horizon}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(3000), allocs(12000)
+	if long > short {
+		t.Errorf("%v allocations at horizon 12000, %v at 3000; want no growth", long, short)
+	}
+}

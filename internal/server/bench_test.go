@@ -1,9 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -164,5 +170,76 @@ func BenchmarkMissFill(b *testing.B) {
 	}
 	if got := s.metrics.solversRecycled.Load() - recycled; got != int64(b.N) {
 		b.Fatalf("%d recycled fills in %d misses", got, b.N)
+	}
+}
+
+// BenchmarkWarmHitSocket sends one warm /v1/blocking hit per iteration
+// over a raw keep-alive loopback connection to a started Server: the
+// in-process pipeline of BenchmarkWarmHit plus the transport, socket
+// syscalls included. The client writes prebuilt request bytes and
+// reads the answer into a reused buffer, so allocs/op are the
+// server's.
+func BenchmarkWarmHitSocket(b *testing.B) {
+	s, err := New(Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve() }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			b.Error(err)
+		}
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	}()
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nc.Close() //lint:allow errcheck benchmark teardown
+	body := hotBodies[0].body
+	req := []byte("POST /v1/blocking HTTP/1.1\r\nHost: " + s.Addr() + "\r\nContent-Type: application/json\r\nContent-Length: " +
+		strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+	br := bufio.NewReader(nc)
+	buf := make([]byte, 4096)
+	hit := func() {
+		if _, err := nc.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		status, length := "", -1
+		for {
+			line, err := br.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			switch {
+			case status == "":
+				status = string(line[:min(len(line), 12)])
+			case len(line) == 2:
+				if status != "HTTP/1.1 200" || length < 0 || length > len(buf) {
+					b.Fatalf("status %q, Content-Length %d", status, length)
+				}
+				if _, err := io.ReadFull(br, buf[:length]); err != nil {
+					b.Fatal(err)
+				}
+				return
+			case bytes.HasPrefix(line, []byte("Content-Length: ")):
+				length, err = strconv.Atoi(string(bytes.TrimSpace(line[len("Content-Length: "):])))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	hit() // the fill
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
 	}
 }

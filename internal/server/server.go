@@ -46,10 +46,16 @@ type Server struct {
 	mux      *http.ServeMux
 	debugMux *http.ServeMux
 
-	httpSrv  *http.Server
-	debugSrv *http.Server
-	ln       net.Listener
-	debugLn  net.Listener
+	// The API listener is served by the serve loop (serve.go); httpSrv
+	// serves the connections it hands off, through handoff.
+	httpSrv      *http.Server
+	debugSrv     *http.Server
+	ln           net.Listener
+	debugLn      net.Listener
+	handoff      *handoffListener
+	shuttingDown atomic.Bool // Shutdown has closed ln
+	connsMu      sync.Mutex
+	conns        map[*serveConn]struct{}
 }
 
 // New builds a Server from cfg (zero fields take their documented
@@ -189,6 +195,11 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 		if err := h(sw, r.WithContext(ctx)); err != nil {
 			var api *apiError
 			if errors.As(err, &api) {
+				if api.code == http.StatusServiceUnavailable {
+					// Overloaded or draining: both pass within a second
+					// or send the client elsewhere.
+					sw.Header().Set("Retry-After", "1")
+				}
 				s.writeJSON(sw, api.code, api.document())
 				return
 			}
@@ -280,10 +291,12 @@ func (s *Server) Start() error {
 		}
 	}
 	s.ln = ln
+	s.handoff = newHandoffListener(ln.Addr())
+	s.conns = make(map[*serveConn]struct{})
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       120 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	if s.cfg.DebugAddr != "" {
 		dln, err := net.Listen("tcp", s.cfg.DebugAddr)
@@ -318,13 +331,21 @@ func (s *Server) DebugAddr() string {
 
 // Serve blocks serving both listeners until Shutdown (returning nil)
 // or a listener failure (returning its error). Start must have
-// succeeded.
+// succeeded. The API listener runs on the serve loop, with httpSrv
+// behind it for the connections the loop hands off.
 func (s *Server) Serve() error {
-	errc := make(chan error, 2)
-	go func() { errc <- s.httpSrv.Serve(s.ln) }()
-	n := 1
+	errc := make(chan error, 3)
+	go func() { errc <- s.httpSrv.Serve(s.handoff) }()
+	go func() {
+		err := s.serveLoop()
+		errc <- err // first, so that Serve reports it over the handoff's close
+		if !errors.Is(err, http.ErrServerClosed) {
+			s.handoff.Close() //lint:allow errcheck closing a channel listener cannot fail
+		}
+	}()
+	n := 2
 	if s.debugSrv != nil {
-		n = 2
+		n = 3
 		go func() { errc <- s.debugSrv.Serve(s.debugLn) }()
 	}
 	var first error
@@ -337,14 +358,15 @@ func (s *Server) Serve() error {
 }
 
 // Shutdown drains both servers gracefully: no new connections,
-// in-flight requests run to completion within ctx. /readyz flips to
-// 503 first, so ready-checking peers and balancers stop routing here
-// while the drain runs.
+// idle ones closed, in-flight requests run to completion within ctx,
+// on the serve loop and on the connections it handed off. /readyz
+// flips to 503 first, so ready-checking peers and balancers stop
+// routing here while the drain runs.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var errs []error
 	if s.httpSrv != nil {
-		errs = append(errs, s.httpSrv.Shutdown(ctx))
+		errs = append(errs, s.drainLoop(ctx), s.httpSrv.Shutdown(ctx))
 	}
 	if s.debugSrv != nil {
 		errs = append(errs, s.debugSrv.Shutdown(ctx))

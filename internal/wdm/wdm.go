@@ -152,11 +152,11 @@ type Result struct {
 }
 
 type teardown struct {
-	// hops and lambdas record the (link, wavelength) pairs held
-	// (single entry for cross traffic).
-	hops      []int
-	lambdas   []int
-	crossLink int // -1 for end-to-end circuits
+	// lambdas is an end-to-end circuit's wavelength on each link,
+	// handed back to the free sets on teardown; nil for a cross
+	// circuit, which holds wavelength w on link l.
+	lambdas []int
+	l, w    int
 }
 
 // Simulate runs the path at event level.
@@ -187,7 +187,16 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 	cross := make([]counts, batches)
 	utilArea := make([]float64, batches)
 
-	var deps eventq.Queue[teardown]
+	// At most W end-to-end circuits are up at once (each holds a
+	// wavelength on link 0), and at most L*W circuits of both kinds:
+	// the wavelength sets and the queue are made up front, so the
+	// event loop does not allocate.
+	free := make([][]int, p.W)
+	for k := range free {
+		free[k] = make([]int, p.L)
+	}
+	lambdas := make([]int, p.L)
+	deps := eventq.New[teardown](p.L * p.W)
 	now := 0.0
 	var events int64
 	nextE2E := stream.Exp(p.Rate)
@@ -236,10 +245,16 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 		switch kind {
 		case 2:
 			_, d := deps.Pop()
-			for i, l := range d.hops {
-				busy[l][d.lambdas[i]] = false
+			if d.lambdas == nil {
+				busy[d.l][d.w] = false
+				busyCount--
+				continue
 			}
-			busyCount -= len(d.hops)
+			for l, w := range d.lambdas {
+				busy[l][w] = false
+			}
+			busyCount -= p.L
+			free = append(free, d.lambdas)
 		case 1:
 			nextCross = now + stream.Exp(p.CrossRate*float64(p.L))
 			l := stream.Intn(p.L)
@@ -256,17 +271,13 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 			}
 			busy[l][w] = true
 			busyCount++
-			deps.Push(now+stream.Exp(p.Mu), teardown{
-				hops: []int{l}, lambdas: []int{w}, crossLink: l,
-			})
+			deps.Push(now+stream.Exp(p.Mu), teardown{l: l, w: w})
 		case 0:
 			nextE2E = now + stream.Exp(p.Rate)
 			b := win.Of(now)
 			if b >= 0 {
 				e2e[b].offered++
 			}
-			hops := make([]int, p.L)
-			lambdas := make([]int, p.L)
 			ok := true
 			if cfg.Converters {
 				// Per-hop independent assignment; the setup is atomic,
@@ -278,7 +289,6 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 						ok = false
 						break
 					}
-					hops[l] = l
 					lambdas[l] = w
 					busy[l][w] = true
 					marked++
@@ -313,7 +323,6 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 						w = freeScratch[stream.Intn(len(freeScratch))]
 					}
 					for l := 0; l < p.L; l++ {
-						hops[l] = l
 						lambdas[l] = w
 						busy[l][w] = true
 					}
@@ -326,9 +335,11 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 				continue
 			}
 			busyCount += p.L
-			deps.Push(now+stream.Exp(p.Mu), teardown{
-				hops: hops, lambdas: lambdas, crossLink: -1,
-			})
+			k := len(free) - 1
+			held := free[k]
+			free = free[:k]
+			copy(held, lambdas)
+			deps.Push(now+stream.Exp(p.Mu), teardown{lambdas: held})
 		}
 	}
 

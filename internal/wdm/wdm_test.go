@@ -211,3 +211,23 @@ func TestDeterminismAndConservation(t *testing.T) {
 		t.Errorf("utilization %v out of (0,1)", a.Utilization)
 	}
 }
+
+// TestSimulateAllocsFlatInHorizon pins an event loop that allocates
+// nothing per arrival or teardown, with and without converters: a run
+// four times as long allocates no more than the short one.
+func TestSimulateAllocsFlatInHorizon(t *testing.T) {
+	p := Path{L: 3, W: 8, Rate: 4, CrossRate: 1, Mu: 1}
+	for _, conv := range []bool{false, true} {
+		allocs := func(horizon float64) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Simulate(p, SimConfig{Converters: conv, Assignment: RandomFit, Seed: 3, Warmup: 20, Horizon: horizon}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(2000), allocs(8000)
+		if long > short {
+			t.Errorf("converters %v: %v allocations at horizon 8000, %v at 2000; want no growth", conv, long, short)
+		}
+	}
+}

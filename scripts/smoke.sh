@@ -3,8 +3,10 @@
 # job): build it, start it, wait for readiness on /readyz (bounded by
 # a deadline), hit /healthz, check /v1/blocking against the committed
 # results/figure1.csv value to 1e-9, run two scenario specs through
-# /v1/scenario (plus its 422 contract), scrape /metrics, then SIGTERM
-# and require a clean drain with exit code 0.
+# /v1/scenario (plus its 422 contract), scrape /metrics, send requests
+# that net/http serves in the serve loop's place (Expect, chunked,
+# HTTP/1.0) and a probe and a solve on one connection, then SIGTERM and
+# require a clean drain with exit code 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,6 +106,30 @@ grep -q '"misses":1' "$WORK/metrics.json"
 grep -q '"requests":2' "$WORK/metrics.json"
 grep -q '"scenario_cache":{"hits":1,"misses":2' "$WORK/metrics.json"
 echo "smoke: /metrics ok"
+
+# Requests outside the serve loop's HTTP/1.1 subset are handed to
+# net/http with their bytes replayed (docs/SERVER.md): each must get the
+# same status and body as the plain request. The reference is a warm
+# hit, so every answer below is one too.
+BODY='{"n1":16,"n2":16,"classes":[{"name":"smooth","a":1,"alpha":0.0024,"mu":1}]}'
+curl -fsS -X POST -d "$BODY" "$BASE/v1/blocking" >"$WORK/hit.json"
+grep -q '"cached":true' "$WORK/hit.json"
+curl -fsS -X POST -H 'Expect: 100-continue' -d "$BODY" "$BASE/v1/blocking" >"$WORK/expect.json"
+cmp "$WORK/hit.json" "$WORK/expect.json"
+curl -fsS -X POST -H 'Transfer-Encoding: chunked' -d "$BODY" "$BASE/v1/blocking" >"$WORK/chunked.json"
+cmp "$WORK/hit.json" "$WORK/chunked.json"
+curl -fsS --http1.0 -X POST -d "$BODY" "$BASE/v1/blocking" >"$WORK/http10.json"
+cmp "$WORK/hit.json" "$WORK/http10.json"
+curl -fsS --http1.0 "$BASE/readyz" >"$WORK/readyz10.json"
+cmp "$WORK/readyz.json" "$WORK/readyz10.json"
+# A readiness probe then a solve on one connection, as a load
+# generator's pooled connection carries them.
+curl -fsS -v "$BASE/readyz" -o "$WORK/reuse-readyz.json" \
+    --next -X POST -d "$BODY" "$BASE/v1/blocking" -o "$WORK/reuse-hit.json" 2>"$WORK/reuse.log"
+grep -qi 're-using existing connection' "$WORK/reuse.log"
+cmp "$WORK/readyz.json" "$WORK/reuse-readyz.json"
+cmp "$WORK/hit.json" "$WORK/reuse-hit.json"
+echo "smoke: Expect, chunked, HTTP/1.0 and connection reuse ok"
 
 kill -TERM "$PID"
 rc=0
