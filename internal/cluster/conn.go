@@ -31,11 +31,6 @@ const (
 	maxBodyBytes   = 64 << 20 // largest response body accepted
 )
 
-// errMalformed reports a response outside readResponse's subset. Like
-// any transport error it fails the attempt, and the caller falls over
-// to local compute.
-var errMalformed = httpwire.ErrMalformed
-
 // errStale reports a pooled connection that failed before the first
 // response byte: the peer closed it while it sat idle.
 var errStale = errors.New("cluster: stale pooled connection")
@@ -184,7 +179,8 @@ func (pc *peerConn) roundTrip(req request, p *Peer) (res response, answered bool
 // no trailer; no Trailer header. It reads Content-Type, X-Xbar-Node
 // (interned when it equals node), Connection and the body: by length,
 // by chunks, or to EOF (which rules out reuse). Anything else is
-// errMalformed.
+// httpwire.ErrMalformed; like any transport error it fails the attempt,
+// and the caller falls over to local compute.
 func readResponse(br *bufio.Reader, node string) (response, error) {
 	var res response
 	budget := maxHeaderBytes
@@ -195,16 +191,16 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 	const proto = "HTTP/1.1 "
 	if len(line) < len(proto)+3 || string(line[:len(proto)]) != proto ||
 		len(line) > len(proto)+3 && line[len(proto)+3] != ' ' {
-		return res, errMalformed
+		return res, httpwire.ErrMalformed
 	}
 	for _, c := range line[len(proto) : len(proto)+3] {
 		if c < '0' || c > '9' {
-			return res, errMalformed
+			return res, httpwire.ErrMalformed
 		}
 		res.status = 10*res.status + int(c-'0')
 	}
 	if res.status < 200 || res.status > 599 || res.status == 204 || res.status == 304 {
-		return res, errMalformed
+		return res, httpwire.ErrMalformed
 	}
 	length := -1
 	var chunked, closing, sawType, sawNode bool
@@ -218,22 +214,22 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 		}
 		name, value, ok := httpwire.SplitHeader(line)
 		if !ok {
-			return res, errMalformed
+			return res, httpwire.ErrMalformed
 		}
 		switch {
 		case httpwire.EqualFold(name, "Content-Length"):
 			n, err := strconv.ParseUint(string(value), 10, 63)
 			if length >= 0 || err != nil || n > maxBodyBytes {
-				return res, errMalformed
+				return res, httpwire.ErrMalformed
 			}
 			length = int(n)
 		case httpwire.EqualFold(name, "Transfer-Encoding"):
 			if chunked || !httpwire.EqualFold(value, "chunked") {
-				return res, errMalformed
+				return res, httpwire.ErrMalformed
 			}
 			chunked = true
 		case httpwire.EqualFold(name, "Trailer"):
-			return res, errMalformed
+			return res, httpwire.ErrMalformed
 		case httpwire.EqualFold(name, "Connection"):
 			closing = closing || httpwire.HasToken(value, "close")
 		case httpwire.EqualFold(name, "Content-Type"):
@@ -248,7 +244,7 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 	}
 	switch {
 	case chunked && length >= 0:
-		return res, errMalformed
+		return res, httpwire.ErrMalformed
 	case chunked:
 		res.body, err = readChunked(br)
 	case length >= 0:
@@ -257,7 +253,7 @@ func readResponse(br *bufio.Reader, node string) (response, error) {
 	default:
 		res.body, err = io.ReadAll(io.LimitReader(br, maxBodyBytes+1))
 		if err == nil && len(res.body) > maxBodyBytes {
-			err = errMalformed
+			err = httpwire.ErrMalformed
 		}
 		closing = true
 	}
@@ -281,7 +277,7 @@ func readChunked(br *bufio.Reader) ([]byte, error) {
 		}
 		n, err := strconv.ParseUint(string(line), 16, 32)
 		if len(line) > 8 || err != nil || int(n) > maxBodyBytes-len(body) {
-			return nil, errMalformed
+			return nil, httpwire.ErrMalformed
 		}
 		size := int(n)
 		if size > 0 {
@@ -295,7 +291,7 @@ func readChunked(br *bufio.Reader) ([]byte, error) {
 			return nil, err
 		}
 		if crlf != [2]byte{'\r', '\n'} {
-			return nil, errMalformed
+			return nil, httpwire.ErrMalformed
 		}
 		if size == 0 {
 			return body, nil

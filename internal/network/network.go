@@ -345,17 +345,6 @@ type netDeparture struct {
 	ports []int
 }
 
-// maxConnections bounds the connections route r holds at once: each
-// takes bandwidth distinct inputs and outputs on every switch of its
-// path.
-func maxConnections(n Network, r Route) int {
-	m := math.MaxInt
-	for _, s := range r.Path {
-		m = min(m, n.Switches[s].N1, n.Switches[s].N2)
-	}
-	return m / r.bw()
-}
-
 // sampleDistinct fills out with a distinct uniform indices from [0, n)
 // by rejection (a << n in every sensible configuration).
 func sampleDistinct(stream *rng.Stream, n, a int, out []int) {
@@ -396,21 +385,16 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 	for i, r := range n.Routes {
 		nextArr[i] = stream.Exp(r.Rate)
 	}
-	// Each route gets one port set per connection it can hold at once,
-	// made up front; a departure hands its set back, so the event loop
-	// does not allocate.
+	// A departure hands its connection's port set back to its route's
+	// free sets, and a set is made only when none is free: the event
+	// loop stops allocating once each route's connections have peaked.
 	free := make([][][]int, len(n.Routes))
-	slots, width := 0, 0
-	for i, r := range n.Routes {
-		w := 2 * r.bw() * len(r.Path)
-		for range maxConnections(n, r) {
-			free[i] = append(free[i], make([]int, w))
-		}
-		slots += len(free[i])
-		width = max(width, w)
+	width := 0
+	for _, r := range n.Routes {
+		width = max(width, 2*r.bw()*len(r.Path))
 	}
 	scratch := make([]int, width)
-	deps := eventq.New[netDeparture](slots)
+	var deps eventq.Queue[netDeparture]
 
 	end := win.End()
 	offered := make([][]int64, len(n.Routes))
@@ -488,9 +472,12 @@ func Simulate(n Network, cfg SimConfig) (*SimResult, error) {
 				busyOut[s][ports[2*a*h+a+i]] = true
 			}
 		}
-		k := len(free[kind]) - 1
-		held := free[kind][k]
-		free[kind] = free[kind][:k]
+		var held []int
+		if k := len(free[kind]) - 1; k >= 0 {
+			held, free[kind] = free[kind][k], free[kind][:k]
+		} else {
+			held = make([]int, len(ports))
+		}
 		copy(held, ports)
 		deps.Push(now+stream.Exp(r.Mu), netDeparture{route: kind, ports: held})
 	}

@@ -293,7 +293,9 @@ func TestFixedPointGridSharing(t *testing.T) {
 
 // TestSimulateAllocsFlatInHorizon pins an event loop that allocates
 // nothing per arrival or departure: a run four times as long allocates
-// no more than the short one.
+// at most a few more times than the short one (a port set for each new
+// peak in connections up, and the queue's growth), where one
+// allocation per event would add thousands.
 func TestSimulateAllocsFlatInHorizon(t *testing.T) {
 	net := tandem()
 	net.Routes = append(net.Routes, Route{Path: []int{0, 1}, Rate: 0.5, Mu: 1, Bandwidth: 2})
@@ -305,7 +307,8 @@ func TestSimulateAllocsFlatInHorizon(t *testing.T) {
 		})
 	}
 	short, long := allocs(3000), allocs(12000)
-	if long > short {
-		t.Errorf("%v allocations at horizon 12000, %v at 3000; want no growth", long, short)
+	const slack = 8
+	if long > short+slack {
+		t.Errorf("%v allocations at horizon 12000, %v at 3000; want at most %d more", long, short, slack)
 	}
 }

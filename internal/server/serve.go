@@ -22,13 +22,14 @@ import (
 // The API listener's serve loop. Each accepted connection gets one
 // goroutine that reads a request into a pooled buffer, runs s.mux on
 // it and writes the response in one Write: no header map on the read
-// side, no background-read goroutine, no per-request context beyond
-// instrument's timeout. It reads a strict subset of HTTP/1.1, decided
-// by protocol features alone (readHead); a connection whose next
-// request falls outside it is handed, with every byte it has sent
-// since the last response, to a net/http server that then keeps it
-// (handoffListener). Every route, every handler and every error
-// document are the mux's, on either path.
+// side, no background read (serveOne parks a goroutine that reads
+// nothing), no per-request context beyond instrument's timeout. It
+// reads a strict subset of HTTP/1.1, decided by protocol features
+// alone (readHead); a connection whose next request falls outside it
+// is handed, with every byte it has sent since the last response, to
+// a net/http server that then keeps it (handoffListener). Every route,
+// every handler and every error document are the mux's, on either
+// path.
 
 // The API listener's timeouts, shared with the net/http fallback.
 // Variables so that tests can lower them.
@@ -530,6 +531,15 @@ func (c *serveConn) serveOne(h *head) bool {
 			return false
 		}
 	}
+	// A goroutine parked across the request and woken once the
+	// response is written, as net/http's background read is. Its start
+	// and its wakeup each let the scheduler wake a thread on an idle
+	// core, which then looks for work while the client's next request
+	// is on its way. Without it, a 2-worker closed loop of lattice
+	// fills ran 7% slower than on net/http (docs/PERFORMANCE.md §17).
+	parked := make(chan struct{})
+	go func() { <-parked }()
+	defer close(parked)
 	c.s.mux.ServeHTTP(&x.w, &x.req)
 	c.served = true
 	keep := c.finish(x, h)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -201,6 +202,28 @@ func TestServeLoopReadyzThenPost(t *testing.T) {
 	}
 	if n := handoffs.Load(); n != 0 {
 		t.Errorf("%d connections handed off, want none", n)
+	}
+}
+
+// TestServeLoopParkedGoroutineExits checks that the goroutine serveOne
+// parks across each request ends once the response is written: a
+// connection's requests leave no goroutine behind.
+func TestServeLoopParkedGoroutineExits(t *testing.T) {
+	_, addr, _ := startLoop(t, Config{})
+	rc := dialRaw(t, addr)
+	const req = "GET /readyz HTTP/1.1\r\nHost: xbard\r\n\r\n"
+	rc.roundTrip(req)
+	time.Sleep(10 * time.Millisecond) // the first request's parked goroutine ends
+	before := runtime.NumGoroutine()
+	for range 100 {
+		rc.roundTrip(req)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after 100 requests, %d before", n, before)
 	}
 }
 

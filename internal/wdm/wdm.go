@@ -187,16 +187,12 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 	cross := make([]counts, batches)
 	utilArea := make([]float64, batches)
 
-	// At most W end-to-end circuits are up at once (each holds a
-	// wavelength on link 0), and at most L*W circuits of both kinds:
-	// the wavelength sets and the queue are made up front, so the
-	// event loop does not allocate.
-	free := make([][]int, p.W)
-	for k := range free {
-		free[k] = make([]int, p.L)
-	}
+	// A teardown hands its circuit's wavelength set back to free, and
+	// a set is made only when none is free: the event loop stops
+	// allocating once the number of circuits up has peaked.
+	var free [][]int
 	lambdas := make([]int, p.L)
-	deps := eventq.New[teardown](p.L * p.W)
+	var deps eventq.Queue[teardown]
 	now := 0.0
 	var events int64
 	nextE2E := stream.Exp(p.Rate)
@@ -335,9 +331,12 @@ func Simulate(p Path, cfg SimConfig) (*Result, error) {
 				continue
 			}
 			busyCount += p.L
-			k := len(free) - 1
-			held := free[k]
-			free = free[:k]
+			var held []int
+			if k := len(free) - 1; k >= 0 {
+				held, free = free[k], free[:k]
+			} else {
+				held = make([]int, p.L)
+			}
 			copy(held, lambdas)
 			deps.Push(now+stream.Exp(p.Mu), teardown{lambdas: held})
 		}
