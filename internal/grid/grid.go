@@ -69,21 +69,12 @@ type Options struct {
 	// memoized path bit-identical, and the benchmarks use it as the
 	// per-point baseline.
 	NoMemo bool
-	// Dispatch, when non-nil, routes each point through
-	// core.TryAsymptotic first: points the policy answers
-	// asymptotically never enter lattice planning — they join no fill
-	// group, so one huge point cannot inflate a group's fill
-	// dimensions — while the rest take the exact path unchanged
-	// (bit-identical to Dispatch == nil). Results carry Tier and, on
-	// the asymptotic tier, ErrorBound. Nil keeps the engine purely
-	// exact.
-	Dispatch *core.DispatchOptions
 }
 
 // Stats is the engine's lifetime accounting, the raw material of the
 // memoization-hit-rate tables in docs/PERFORMANCE.md. Points =
-// MemoHits + BatchHits + Asymptotic + Unique, and Fills <= Unique
-// (grouping packs several unique sizes into one fill).
+// MemoHits + BatchHits + Unique, and Fills <= Unique (grouping packs
+// several unique sizes into one fill).
 type Stats struct {
 	// Points is the number of points submitted to Solve.
 	Points int
@@ -98,9 +89,6 @@ type Stats struct {
 	// switch whose thinned load did not move between fixed-point
 	// iterations).
 	MemoHits int
-	// Asymptotic counts points answered by the saddle-point tier
-	// (Options.Dispatch): O(R) each, no lattice fill.
-	Asymptotic int
 }
 
 // HitRate reports the fraction of points that did not pay a lattice
@@ -116,21 +104,18 @@ func (s Stats) HitRate() float64 {
 // owned by the memo; clones copy them so callers can never corrupt a
 // shared entry.
 type memoResult struct {
-	method, tier                       string
+	method                             string
 	logG                               float64
 	nonBlocking, blocking, concurrency []float64
-	errorBound                         []float64
 }
 
 func newMemoResult(r *core.Result) *memoResult {
 	return &memoResult{
 		method:      r.Method,
-		tier:        r.Tier,
 		logG:        r.LogG,
 		nonBlocking: r.NonBlocking,
 		blocking:    r.Blocking,
 		concurrency: r.Concurrency,
-		errorBound:  r.ErrorBound,
 	}
 }
 
@@ -138,19 +123,14 @@ func newMemoResult(r *core.Result) *memoResult {
 // The Switch is the point's own (not the canonical representative's),
 // so mu-dependent reads — Result.Throughput — see the point's rates.
 func (m *memoResult) clone(sw core.Switch) *core.Result {
-	r := &core.Result{
+	return &core.Result{
 		Switch:      sw,
 		Method:      m.method,
-		Tier:        m.tier,
 		LogG:        m.logG,
 		NonBlocking: append([]float64(nil), m.nonBlocking...),
 		Blocking:    append([]float64(nil), m.blocking...),
 		Concurrency: append([]float64(nil), m.concurrency...),
 	}
-	if m.errorBound != nil {
-		r.ErrorBound = append([]float64(nil), m.errorBound...)
-	}
-	return r
 }
 
 // maxMemoEntries bounds the cross-call memo. A fixed point touches a
@@ -181,8 +161,9 @@ func New(opt Options) *Engine {
 	return &Engine{opt: opt, memo: make(map[string]*memoResult)}
 }
 
-// maxPoolSolvers bounds the solver free pool, mirroring the server
-// cache's recycling bound: beyond it, lattices go back to the GC.
+// maxPoolSolvers bounds the solver free pool: beyond it, lattices go
+// back to the GC. The value is not derived from anything; it is a
+// small cap on what an idle engine keeps.
 const maxPoolSolvers = 8
 
 func (e *Engine) takeSolver() *core.Solver {
@@ -302,7 +283,7 @@ func (e *Engine) Solve(points []core.Switch) ([]*core.Result, error) {
 	var uniq []*uniquePoint
 	groupIdx := make(map[string]int)
 	var groups []*fillGroup
-	memoHits, batchHits, asymPoints := 0, 0, 0
+	memoHits, batchHits := 0, 0
 	e.mu.Lock()
 	for i := range points {
 		sw := points[i]
@@ -312,26 +293,6 @@ func (e *Engine) Solve(points []core.Switch) ([]*core.Result, error) {
 			results[i] = m.clone(sw)
 			memoHits++
 			continue
-		}
-		// Dispatch check: a point the policy answers asymptotically is
-		// memoized and served right here, joining no fill group. O(R)
-		// per point, so fine under the planning lock.
-		if e.opt.Dispatch != nil {
-			res, ok, err := core.TryAsymptotic(sw, *e.opt.Dispatch)
-			if err != nil {
-				e.mu.Unlock()
-				return nil, fmt.Errorf("grid: point %d: %w", i, err)
-			}
-			if ok {
-				m := newMemoResult(res)
-				if len(e.memo) >= maxMemoEntries {
-					clear(e.memo)
-				}
-				e.memo[pk] = m
-				results[i] = m.clone(sw)
-				asymPoints++
-				continue
-			}
 		}
 		if j, ok := uniqIdx[pk]; ok {
 			uniq[j].slots = append(uniq[j].slots, i)
@@ -356,13 +317,7 @@ func (e *Engine) Solve(points []core.Switch) ([]*core.Result, error) {
 	e.stats.Fills += len(groups)
 	e.stats.MemoHits += memoHits
 	e.stats.BatchHits += batchHits
-	e.stats.Asymptotic += asymPoints
 	e.mu.Unlock()
-
-	if len(groups) == 0 {
-		e.stampTiers(results)
-		return results, nil
-	}
 
 	// Execute: workers claim groups off the shared queue.
 	err := parallel.ForEach(e.opt.Workers, groups, func(_ int, g *fillGroup) error {
@@ -371,24 +326,7 @@ func (e *Engine) Solve(points []core.Switch) ([]*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.stampTiers(results)
 	return results, nil
-}
-
-// stampTiers records the answering tier on dispatch-routed batches:
-// results the expansion did not serve were solved exactly. Each
-// result is the caller's own clone, so the write is safe; with
-// dispatch off, results stay byte-for-byte what the exact-only engine
-// produced.
-func (e *Engine) stampTiers(results []*core.Result) {
-	if e.opt.Dispatch == nil {
-		return
-	}
-	for _, r := range results {
-		if r.Tier == "" {
-			r.Tier = core.TierExact
-		}
-	}
 }
 
 // solveGroup runs one group's lattice fill and scatters its members'
@@ -424,22 +362,7 @@ func (e *Engine) solveGroup(g *fillGroup, uniq []*uniquePoint, points []core.Swi
 // solveFresh is the NoMemo path: one full fill per point through the
 // pooled solvers, no sharing of any kind.
 func (e *Engine) solveFresh(points []core.Switch, results []*core.Result) error {
-	var asymPoints, fills int
-	var statsMu sync.Mutex
 	err := parallel.ForEach(e.opt.Workers, points, func(i int, sw core.Switch) error {
-		if e.opt.Dispatch != nil {
-			res, ok, err := core.TryAsymptotic(sw, *e.opt.Dispatch)
-			if err != nil {
-				return fmt.Errorf("grid: point %d: %w", i, err)
-			}
-			if ok {
-				results[i] = res
-				statsMu.Lock()
-				asymPoints++
-				statsMu.Unlock()
-				return nil
-			}
-		}
 		solver := e.takeSolver()
 		defer e.putSolver(solver)
 		var err error
@@ -450,9 +373,6 @@ func (e *Engine) solveFresh(points []core.Switch, results []*core.Result) error 
 			return fmt.Errorf("grid: point %d: %w", i, err)
 		}
 		results[i] = solver.Result()
-		statsMu.Lock()
-		fills++
-		statsMu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -460,10 +380,8 @@ func (e *Engine) solveFresh(points []core.Switch, results []*core.Result) error 
 	}
 	e.mu.Lock()
 	e.stats.Points += len(points)
-	e.stats.Unique += fills
-	e.stats.Fills += fills
-	e.stats.Asymptotic += asymPoints
+	e.stats.Unique += len(points)
+	e.stats.Fills += len(points)
 	e.mu.Unlock()
-	e.stampTiers(results)
 	return nil
 }

@@ -197,11 +197,10 @@ func Run(cfg Config) (*Result, error) {
 // ClearedBlocking returns the paper's blocked-calls-cleared blocking
 // for the same switch and fresh load — the MaxAttempts = 1 anchor.
 func ClearedBlocking(n1, n2 int, lambda, mu float64) (float64, error) {
-	sw := core.Switch{N1: n1, N2: n2, Classes: []core.Class{{
-		A: 1, Alpha: lambda / float64(n1*n2) / mu * mu, Mu: mu,
-	}}}
 	// Per-route alpha: total rate / (N1 N2 ordered routes).
-	sw.Classes[0].Alpha = lambda / float64(n1*n2)
+	sw := core.Switch{N1: n1, N2: n2, Classes: []core.Class{{
+		A: 1, Alpha: lambda / float64(n1*n2), Mu: mu,
+	}}}
 	res, err := core.Solve(sw)
 	if err != nil {
 		return 0, err

@@ -6,7 +6,6 @@ import (
 
 	"xbar/internal/clos"
 	"xbar/internal/core"
-	"xbar/internal/dist"
 	"xbar/internal/floats"
 	"xbar/internal/hotspot"
 	"xbar/internal/inputq"
@@ -352,14 +351,11 @@ func evalOverflow(e *Engine, s *Spec) ([]Measure, error) {
 	// whose primary never blocked has nothing to fit.
 	mean, z := r.OverflowMean, r.OverflowPeakedness
 	if mean > 0 && z > 0 {
-		// Both fits route through the shared grid engine — the same
-		// lattice fill path as /v1/grid points — pinned bit-identical
-		// to overflow.SecondaryBPPApprox by the property tests.
-		bppRes, err := e.solveSecondary(sn, mean, z, mu)
+		bppRes, err := overflow.SecondaryBPPApprox(sn, mean, z, mu)
 		if err != nil {
 			return nil, err
 		}
-		poisRes, err := e.solveSecondary(sn, mean, 1, mu)
+		poisRes, err := overflow.SecondaryPoissonApprox(sn, mean, mu)
 		if err != nil {
 			return nil, err
 		}
@@ -373,26 +369,6 @@ func evalOverflow(e *Engine, s *Spec) ([]Measure, error) {
 			scalar("bpp_call_congestion", cc))
 	}
 	return ms, nil
-}
-
-// solveSecondary is the grid-routed core of overflow.SecondaryBPPApprox:
-// fit a BPP source to the measured overflow (mean, z) and solve the
-// secondary crossbar's product form.
-func (e *Engine) solveSecondary(secondaryN int, mean, z, mu float64) (float64, error) {
-	src, err := dist.FitMeanPeakedness(mean, z, mu)
-	if err != nil {
-		return 0, err
-	}
-	routes := float64(secondaryN * secondaryN)
-	sw := core.Switch{N1: secondaryN, N2: secondaryN, Classes: []core.Class{{
-		Name: "overflow", A: 1,
-		Alpha: src.Alpha / routes, Beta: src.Beta / routes, Mu: mu,
-	}}}
-	res, err := e.solve(sw)
-	if err != nil {
-		return 0, err
-	}
-	return res.Blocking[0], nil
 }
 
 // ---------------------------------------------------------------- retrial
@@ -442,12 +418,7 @@ func evalRetrial(e *Engine, s *Spec) ([]Measure, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The cleared anchor is the same product form retrial.ClearedBlocking
-	// solves, grid-routed (pinned by the property tests).
-	sw := core.Switch{N1: n1, N2: n2, Classes: []core.Class{{
-		A: 1, Alpha: s.Params.Lambda / float64(n1*n2), Mu: s.Params.Mu,
-	}}}
-	res, err := e.solve(sw)
+	cleared, err := retrial.ClearedBlocking(n1, n2, s.Params.Lambda, s.Params.Mu)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +429,7 @@ func evalRetrial(e *Engine, s *Spec) ([]Measure, error) {
 		scalar("mean_orbit", r.MeanOrbit),
 		ci("sim_concurrency", r.Concurrency),
 		scalar("sim_events", float64(r.Events)),
-		scalar("cleared_blocking", res.Blocking[0]),
+		scalar("cleared_blocking", cleared),
 	}, nil
 }
 

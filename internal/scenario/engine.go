@@ -2,31 +2,22 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
-	"xbar/internal/core"
 	"xbar/internal/grid"
 )
 
 // Options configures an Engine.
 type Options struct {
-	// Grid configures the embedded grid.Engine that serves every
-	// product-form solve an adapter needs (the overflow Wilkinson fits,
-	// the retrial cleared anchor).
-	Grid grid.Options
 	// Limits bounds admissible specs; zero fields take DefaultLimits.
 	Limits Limits
-	// NoMemo makes the engine keep nothing across calls: New passes it
-	// on as Grid.NoMemo, so every product-form solve pays its own fill.
-	// A caller with its own result cache (the xbard endpoint) sets it,
-	// so that cache is the only memo on its path.
+	// Grid and NoMemo are inert: an Engine routes no solve through a
+	// grid engine and keeps nothing across calls (each product-form
+	// solve is one core.Solve of a legacy entry point). They remain
+	// only because the load benchmark's stage replay (cmd/xbarload) is
+	// compiled against them and changes only together with the
+	// benchmark. Nothing else sets them.
+	Grid   grid.Options
 	NoMemo bool
-}
-
-// Stats is the engine's lifetime accounting.
-type Stats struct {
-	// Grid is the embedded grid engine's accounting.
-	Grid grid.Stats
 }
 
 // EvalError wraps a failure inside a legacy evaluator for a spec that
@@ -43,23 +34,15 @@ func (e *EvalError) Error() string {
 
 func (e *EvalError) Unwrap() error { return e.Err }
 
-// Engine evaluates scenario specs. It keeps no results of its own:
-// the only state carried across calls is the embedded grid engine's
-// memo of product-form solves (none under NoMemo). An Engine is safe
-// for concurrent use.
+// Engine evaluates scenario specs. It holds only its Limits and keeps
+// nothing across calls, so an Engine is safe for concurrent use.
 type Engine struct {
-	lim  Limits
-	grid *grid.Engine
+	lim Limits
 }
 
 // New builds an Engine.
 func New(opt Options) *Engine {
-	gopt := opt.Grid
-	gopt.NoMemo = gopt.NoMemo || opt.NoMemo
-	return &Engine{
-		lim:  opt.Limits.withDefaults(),
-		grid: grid.New(gopt),
-	}
+	return &Engine{lim: opt.Limits.withDefaults()}
 }
 
 // Evaluate validates the spec, runs its discipline's adapter and
@@ -75,9 +58,6 @@ func (e *Engine) Evaluate(s *Spec) (*Result, error) {
 	}
 	return filter(&Result{Discipline: s.Discipline, Measures: ms}, s)
 }
-
-// Stats returns a snapshot of the engine's accounting.
-func (e *Engine) Stats() Stats { return Stats{Grid: e.grid.Stats()} }
 
 // filter applies the spec's Measures selection to a full result
 // (identity when empty). Unknown measure names are an InvalidError,
@@ -103,28 +83,13 @@ func filter(full *Result, s *Spec) (*Result, error) {
 	return out, nil
 }
 
-// solve routes one product-form switch through the embedded grid
-// engine.
-func (e *Engine) solve(sw core.Switch) (*core.Result, error) {
-	res, err := e.grid.Solve([]core.Switch{sw})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// std is the process-wide engine behind the package-level Evaluate —
-// the zero-setup entry point mirroring the legacy packages' free
+// std is the engine behind the package-level Evaluate — the
+// zero-setup entry point mirroring the legacy packages' free
 // functions.
-var (
-	stdOnce sync.Once
-	std     *Engine
-)
+var std = New(Options{})
 
-// Evaluate runs one spec on a lazily built process-wide Engine with
-// default options. Callers wanting limits, memo control or stats build
-// their own Engine with New.
+// Evaluate runs one spec on an Engine with default options. Callers
+// wanting other limits build their own Engine with New.
 func Evaluate(s *Spec) (*Result, error) {
-	stdOnce.Do(func() { std = New(Options{}) })
 	return std.Evaluate(s)
 }

@@ -13,10 +13,10 @@
 // through a thin adapter onto the legacy package, whose results the
 // package's property tests pin bit-identical. The payoff is that every
 // scenario becomes cacheable (the canonical Key is an exact cache
-// identity; product-form solves route through a grid.Engine) and
-// servable (POST /v1/scenario on xbard) for free — and the spec space itself is
-// fuzzable (FuzzSpec), giving the scenario-diversity generator the
-// ROADMAP calls for.
+// identity; each product-form solve is the legacy entry point's own
+// core.Solve) and servable (POST /v1/scenario on xbard) for free — and
+// the spec space itself is fuzzable (FuzzSpec), giving the
+// scenario-diversity generator the ROADMAP calls for.
 //
 // See docs/SCENARIOS.md for the spec schema and the adapter table.
 package scenario

@@ -201,31 +201,6 @@ func TestEngineFilter(t *testing.T) {
 	}
 }
 
-// TestNoMemoKeepsNothing: a NoMemo engine carries no state across
-// calls, down to the embedded grid engine — evaluating the same
-// overflow spec twice pays its product-form fills (the BPP and the
-// Poisson secondary fit) twice, with no memo hit.
-func TestNoMemoKeepsNothing(t *testing.T) {
-	e := scenario.New(scenario.Options{NoMemo: true})
-	s := &scenario.Spec{Discipline: "overflow", Topology: scenario.Topology{N1: 6},
-		Params: scenario.Params{Lambda: 30, Mu: 1, SecondaryN: 4},
-		Sim:    scenario.Sim{Seed: 16, Warmup: 10, Horizon: 150}}
-	if _, err := e.Evaluate(s); err != nil {
-		t.Fatal(err)
-	}
-	once := e.Stats().Grid.Fills
-	if once != 2 {
-		t.Fatalf("one overflow evaluation ran %d grid fills, want 2", once)
-	}
-	if _, err := e.Evaluate(s); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Grid.Fills != 2*once || st.Grid.MemoHits != 0 {
-		t.Errorf("stats %+v, want %d grid fills and no grid memo hits", st, 2*once)
-	}
-}
-
 func TestPackageEvaluate(t *testing.T) {
 	r, err := scenario.Evaluate(validSlotted())
 	if err != nil {

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"xbar/internal/cluster"
-	"xbar/internal/parallel"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -183,14 +182,6 @@ func (c Config) validate() error {
 // check len(Peers) > 0 first.
 func (c Config) clusterConfig() cluster.Config {
 	return cluster.Config{NodeID: c.NodeID, Peers: c.Peers, VNodes: c.VNodes}
-}
-
-// gridWorkers sizes the scenario grid engine's pool of concurrent
-// group fills: GOMAXPROCS divided by MaxConcurrent, so MaxConcurrent
-// concurrent evaluations together fill the machine instead of
-// oversubscribing it.
-func (c Config) gridWorkers() int {
-	return max(1, parallel.Workers(0)/c.MaxConcurrent)
 }
 
 // logf forwards to Logf when configured.

@@ -140,7 +140,7 @@ func (s *Server) handleGrid(c call, req *GridRequest) (any, error) {
 	// solver reads) share one entry at the group maximum. Under a
 	// dispatch policy the tier is decided per point first, and
 	// asymptotic points join no group — one huge point cannot inflate
-	// a group's fill dimensions (the grid.Engine rule).
+	// a group's fill dimensions.
 	points := make([]core.Switch, len(req.Points))
 	groups := make(map[string]*gridGroup)
 	var order []*gridGroup

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -614,5 +615,96 @@ func TestScenarioRoundingWindow(t *testing.T) {
 		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
 			t.Errorf("measure %s = %v, want finite", m.Name, m.Value)
 		}
+	}
+}
+
+// retrialDoc is a short retrial simulation on an n1 x n2 crossbar at
+// total fresh rate lambda.
+func retrialDoc(n1, n2 int, lambda float64) map[string]any {
+	return map[string]any{
+		"discipline": "retrial",
+		"topology":   map[string]any{"n1": n1, "n2": n2},
+		"params":     map[string]any{"lambda": lambda, "mu": 1, "retry_rate": 3, "max_attempts": 2},
+		"sim":        map[string]any{"seed": 17, "warmup": 2, "horizon": 20},
+	}
+}
+
+// postScenario posts doc to /v1/scenario and requires a 200.
+func postScenario(t *testing.T, ts *httptest.Server, doc map[string]any) ScenarioResponse {
+	t.Helper()
+	var resp ScenarioResponse
+	if code := postJSON(t, ts, "/v1/scenario", doc, &resp); code != http.StatusOK {
+		t.Fatalf("%v: status %d", doc["discipline"], code)
+	}
+	return resp
+}
+
+func measureOf(r ScenarioResponse, name string) (ScenarioMeasure, bool) {
+	for _, m := range r.Measures {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return ScenarioMeasure{}, false
+}
+
+// TestRetrialAnchorMatchesBlocking: retrial's cleared_blocking is the
+// paper's blocked-calls-cleared blocking of the same switch, so it
+// equals /v1/blocking's class-0 blocking for one Poisson class at
+// per-route alpha = lambda/(N1 N2), bit for bit.
+func TestRetrialAnchorMatchesBlocking(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, sz := range []struct{ n1, n2 int }{{4, 4}, {96, 80}} {
+		lambda := 0.75 * float64(min(sz.n1, sz.n2))
+		cleared, ok := measureOf(postScenario(t, ts, retrialDoc(sz.n1, sz.n2, lambda)), "cleared_blocking")
+		if !ok {
+			t.Fatalf("%dx%d: no cleared_blocking", sz.n1, sz.n2)
+		}
+		var bl BlockingResponse
+		spec := SwitchSpec{N1: sz.n1, N2: sz.n2, Units: "route",
+			Classes: []ClassSpec{{A: 1, Alpha: lambda / float64(sz.n1*sz.n2), Mu: 1}}}
+		if code := postJSON(t, ts, "/v1/blocking", spec, &bl); code != http.StatusOK {
+			t.Fatalf("%dx%d: /v1/blocking status %d", sz.n1, sz.n2, code)
+		}
+		if got, want := cleared.Value, bl.Classes[0].Blocking; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%dx%d: cleared_blocking %v, /v1/blocking %v", sz.n1, sz.n2, got, want)
+		}
+	}
+}
+
+// TestScenarioSolvesRetainNoLattice: a scenario's product-form solves
+// keep no lattice once the request is answered. After a retrial miss
+// at 512x512 and an overflow miss with a 512-wide secondary, the live
+// heap grows by far less than one 513x513 Algorithm 1 lattice
+// (4.2 MB); the cached scenario results are a few hundred bytes.
+func TestScenarioSolvesRetainNoLattice(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	live := func() uint64 {
+		// Two cycles: the fill scratch's sync.Pool frees an idle
+		// buffer on the second.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	retrial := postScenario(t, ts, retrialDoc(512, 512, 40))
+	overflow := postScenario(t, ts, map[string]any{
+		"discipline": "overflow",
+		"topology":   map[string]any{"n1": 6},
+		"params":     map[string]any{"lambda": 8, "mu": 1, "secondary_n": 512},
+		"sim":        map[string]any{"seed": 16, "warmup": 2, "horizon": 100},
+	})
+	after := live()
+	if _, ok := measureOf(retrial, "cleared_blocking"); !ok || retrial.Cached {
+		t.Fatalf("retrial: %+v, want an uncached product-form solve", retrial)
+	}
+	if _, ok := measureOf(overflow, "bpp_secondary_blocking"); !ok || overflow.Cached {
+		t.Fatalf("overflow: %+v, want an uncached product-form solve", overflow)
+	}
+	const bound = 1 << 20
+	if grown := int64(after) - int64(before); grown > bound {
+		t.Errorf("live heap grew %.2f MB across two scenario misses, want at most %.2f MB", float64(grown)/1e6, float64(bound)/1e6)
 	}
 }

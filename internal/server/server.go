@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"xbar/internal/cluster"
-	"xbar/internal/grid"
 	"xbar/internal/scenario"
 )
 
@@ -72,13 +71,11 @@ func New(cfg Config) (*Server, error) {
 		metrics: m,
 		cache:   newCache(cfg.CacheSize, solvers.put, &m.cache),
 		solvers: solvers,
-		// The scenario engine keeps nothing across calls (NoMemo
-		// reaches its grid engine too): scCache is the path's only
-		// memo, bounded by ScenarioCacheSize and counted in /metrics.
+		// The scenario engine keeps nothing across calls: scCache is
+		// the path's only memo, bounded by ScenarioCacheSize and
+		// counted in /metrics.
 		scenario: scenario.New(scenario.Options{
-			NoMemo: true,
 			Limits: cfg.scenarioLimits(),
-			Grid:   grid.Options{Workers: cfg.gridWorkers()},
 		}),
 		scCache: newCache[*scenario.Result](cfg.ScenarioCacheSize, nil, &m.scCache),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),

@@ -2,11 +2,12 @@
 # End-to-end smoke test for the xbard daemon (`make smoke`, CI's smoke
 # job): build it, start it, wait for readiness on /readyz (bounded by
 # a deadline), hit /healthz, check /v1/blocking against the committed
-# results/figure1.csv value to 1e-9, run two scenario specs through
-# /v1/scenario (plus its 422 contract), scrape /metrics, send requests
-# that net/http serves in the serve loop's place (Expect, chunked,
-# HTTP/1.0) and a probe and a solve on one connection, then SIGTERM and
-# require a clean drain with exit code 0.
+# results/figure1.csv value to 1e-9, run scenario specs through
+# /v1/scenario (a retrial and an overflow spec twice each, plus its 422
+# contract), scrape /metrics, send requests that net/http serves in the
+# serve loop's place (Expect, chunked, HTTP/1.0) and a probe and a solve
+# on one connection, then SIGTERM and require a clean drain with exit
+# code 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,9 @@ go build -o "$WORK/xbard" ./cmd/xbard
 
 "$WORK/xbard" -addr "127.0.0.1:$PORT" -drain 10s 2>"$WORK/xbard.log" &
 PID=$!
+# A failed check exits early: stop the daemon too, or it outlives the
+# script and holds its output open.
+trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 # Readiness gate: poll /readyz (not /healthz — a live node may not be
 # ready yet) under a hard deadline.
@@ -93,6 +97,23 @@ grep -q '"cached":true' "$WORK/scenario2.json"
 curl -fsS -X POST -d '{"discipline":"wdm","topology":{"l":3,"w":8},"params":{"rate":4,"cross_rate":1,"mu":1}}' \
     "$BASE/v1/scenario" >"$WORK/scenario3.json"
 grep -q '"name":"conversion_gain"' "$WORK/scenario3.json"
+# The product-form path: the retrial cleared anchor and the overflow
+# Wilkinson fits each run a lattice solve. Each repeat must come back
+# from the result cache with byte-identical measures.
+RETRIAL='{"discipline":"retrial","topology":{"n1":16,"n2":16},"params":{"lambda":12,"mu":1,"retry_rate":3,"max_attempts":2},"sim":{"seed":17,"warmup":10,"horizon":150}}'
+OVERFLOW='{"discipline":"overflow","topology":{"n1":6},"params":{"lambda":6,"mu":1,"secondary_n":16},"sim":{"seed":16,"warmup":2,"horizon":100}}'
+# cached_twice NAME SPEC MEASURE posts SPEC twice: a miss that carries
+# MEASURE, then a hit whose body differs only in its cached flag.
+cached_twice() {
+    curl -fsS -X POST -d "$2" "$BASE/v1/scenario" >"$WORK/$1-miss.json"
+    grep -q '"cached":false' "$WORK/$1-miss.json"
+    grep -q "\"name\":\"$3\"" "$WORK/$1-miss.json"
+    curl -fsS -X POST -d "$2" "$BASE/v1/scenario" >"$WORK/$1-hit.json"
+    grep -q '"cached":true' "$WORK/$1-hit.json"
+    sed 's/"cached":false/"cached":true/' "$WORK/$1-miss.json" | cmp - "$WORK/$1-hit.json"
+}
+cached_twice retrial "$RETRIAL" cleared_blocking
+cached_twice overflow "$OVERFLOW" bpp_secondary_blocking
 # The error contract: an unknown discipline is a 422, never a 200.
 CODE="$(curl -sS -o "$WORK/scenario4.json" -w '%{http_code}' -X POST -d '{"discipline":"quantum"}' "$BASE/v1/scenario")"
 if [ "$CODE" != "422" ]; then
@@ -104,7 +125,7 @@ echo "smoke: /v1/scenario ok"
 curl -fsS "$BASE/metrics" >"$WORK/metrics.json"
 grep -q '"misses":1' "$WORK/metrics.json"
 grep -q '"requests":2' "$WORK/metrics.json"
-grep -q '"scenario_cache":{"hits":1,"misses":2' "$WORK/metrics.json"
+grep -q '"scenario_cache":{"hits":3,"misses":4' "$WORK/metrics.json"
 echo "smoke: /metrics ok"
 
 # Requests outside the serve loop's HTTP/1.1 subset are handed to
