@@ -446,6 +446,43 @@ func TestClusterRollup(t *testing.T) {
 	}
 }
 
+// TestSharedHeaderValues: responses share prebuilt header value
+// slices (contentTypeJSON, each node's X-Xbar-Node), so nothing on the
+// response path may write into them. A local hit and a forwarded hit,
+// on every node and over both keep-alive and fresh connections, leave
+// each slice holding its one value, and the responses carry them.
+func TestSharedHeaderValues(t *testing.T) {
+	f := newTestFleet(t, 3)
+	spec := paperSpec(10)
+	owner := f.ownerOf(t, spec)
+	other := f.nonOwner(t, owner)
+	for _, id := range []string{owner, owner, other, other, owner} {
+		status, data, servedBy := f.post(t, id, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, nil)
+		if status != http.StatusOK || servedBy != owner {
+			t.Fatalf("node %s: status %d, served by %q (owner %q): %s", id, status, servedBy, owner, data)
+		}
+	}
+	check := func(what string, v []string, want string) {
+		t.Helper()
+		if len(v) != 1 || cap(v) != 1 || v[0] != want {
+			t.Errorf("%s: %q (cap %d), want [%q] (cap 1)", what, v, cap(v), want)
+		}
+	}
+	check("contentTypeJSON", contentTypeJSON, "application/json")
+	check("retryAfter1", retryAfter1, "1")
+	for _, id := range f.ids {
+		s := f.srvs[id]
+		check(id+" nodeHeader", s.nodeHeader, id)
+		for v, p := range s.peerValues {
+			check(id+" peerValues", p, v)
+		}
+	}
+	// A full one-element slice is copied by Add, never written into.
+	h := http.Header{"Content-Type": contentTypeJSON}
+	h.Add("Content-Type", "text/plain")
+	check("contentTypeJSON after Header.Add", contentTypeJSON, "application/json")
+}
+
 // TestSingleNodeBitIdentity pins the no-peers contract: no cluster
 // section in /metrics, no node header on responses, /v1/cluster 404 —
 // the pre-cluster daemon's observable surface.

@@ -288,7 +288,7 @@ func (s *Server) handleRevenue(c call, req *RevenueRequest) (any, error) {
 		}) {
 			// The beta/mu gradients re-solve the lattice, so they take
 			// a solve slot like every other fill.
-			release, err := c.s.acquire(c.r.Context())
+			release, err := c.acquire()
 			if err != nil {
 				return overloaded(err)
 			}

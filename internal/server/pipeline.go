@@ -171,7 +171,7 @@ func fetch[V any](c call, ch *cache[V], key string, i int, fill func(i int) (V, 
 	read func(i int, v V, cached bool) error, failed func(error) error) error {
 	ctx := c.r.Context()
 	h, cached, err := ch.get(ctx, key, func() (V, error) {
-		release, err := c.s.acquire(ctx)
+		release, err := c.acquire()
 		if err != nil {
 			var zero V
 			return zero, overloaded(err)
@@ -191,6 +191,21 @@ func fetch[V any](c call, ch *cache[V], key string, i int, fill func(i int) (V, 
 	}
 	defer ch.release(h)
 	return read(i, h.v, cached)
+}
+
+// acquire claims a solve slot for the request (Server.acquire). Every
+// solve-slot wait on the request path comes through here. On the serve
+// loop it first starts the connection's hang-up watcher
+// (responseWriter.watch), so a client that hangs up ends the wait; a
+// request that never waits for a slot, a hit, a forward or an
+// asymptotic answer, starts no goroutine.
+func (c call) acquire() (release func(), err error) {
+	if sw, ok := c.w.(*statusWriter); ok {
+		if rw, ok := sw.ResponseWriter.(*responseWriter); ok {
+			rw.watch(sw.cancel)
+		}
+	}
+	return c.s.acquire(c.r.Context())
 }
 
 // overloaded maps context expiry (solve-slot or single-flight wait)
@@ -241,18 +256,28 @@ func (c call) forward(keys []string) bool {
 		c.s.cfg.logf("cluster: forward %s to %s failed (%v); serving locally", c.r.URL.Path, owner, err)
 		return false
 	}
+	hdr := c.w.Header()
 	if res.ContentType != "" {
-		c.w.Header().Set("Content-Type", res.ContentType)
+		hdr["Content-Type"] = c.s.headerValue(res.ContentType)
 	}
 	if res.ServedBy != "" {
-		c.w.Header().Set(cluster.HeaderNode, res.ServedBy)
+		hdr[cluster.HeaderNode] = c.s.headerValue(res.ServedBy)
 	}
 	if len(res.Body) > declareLengthAbove {
-		c.w.Header().Set("Content-Length", strconv.Itoa(len(res.Body)))
+		hdr.Set("Content-Length", strconv.Itoa(len(res.Body)))
 	}
 	c.w.WriteHeader(res.Status)
 	if _, err := c.w.Write(res.Body); err != nil {
 		c.s.metrics.writeFailures.Add(1)
 	}
 	return true
+}
+
+// headerValue returns v as a header value: the prebuilt slice when v
+// is a member's node id or "application/json", else a new one.
+func (s *Server) headerValue(v string) []string {
+	if p, ok := s.peerValues[v]; ok {
+		return p
+	}
+	return []string{v}
 }

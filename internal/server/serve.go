@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"slices"
 	"strconv"
 	"sync"
@@ -22,8 +23,9 @@ import (
 // The API listener's serve loop. Each accepted connection gets one
 // goroutine that reads a request into a pooled buffer, runs s.mux on
 // it and writes the response in one Write: no header map on the read
-// side, no background read (serveOne parks a goroutine that reads
-// nothing), no per-request context beyond instrument's timeout. It
+// side, no background read for a request that never waits for a solve
+// slot (one that does starts the hang-up watcher, watch), no
+// per-request context beyond instrument's timeout. It
 // reads a strict subset of HTTP/1.1, decided by protocol features
 // alone (readHead); a connection whose next request falls outside it
 // is handed, with every byte it has sent since the last response, to
@@ -226,6 +228,11 @@ type serveConn struct {
 
 	served bool // a request has been answered
 
+	// The hang-up watcher (watch): running while watching, and it
+	// sends on watchDone once as it exits.
+	watching  bool
+	watchDone chan struct{}
+
 	// Interned request strings: a connection's requests repeat them.
 	method, path, host string
 	remote             string
@@ -281,6 +288,7 @@ func (b *bodyReader) Close() error { return nil }
 // responseWriter buffers one response for serveConn.finish.
 type responseWriter struct {
 	c    *serveConn
+	body *bodyReader // the request's body
 	code int
 }
 
@@ -398,7 +406,8 @@ func (c *serveConn) serve() {
 			c.s.cfg.logf("panic serving connection from %s: %v", c.remote, p)
 		}
 		if !handedOff {
-			_ = c.nc.Close() //lint:allow errcheck the connection is done; a close error changes nothing
+			_ = c.stopWatch() //lint:allow errcheck the connection closes next; a panic may have left the watcher running
+			_ = c.nc.Close()  //lint:allow errcheck the connection is done; a close error changes nothing
 			c.br.Reset(nil)
 			headBufs.Put(c.br)
 		}
@@ -523,7 +532,7 @@ func (c *serveConn) serveOne(h *head) bool {
 	if h.forwarded != nil {
 		x.req.Header = http.Header{cluster.HeaderForwarded: {string(h.forwarded)}}
 	}
-	x.w = responseWriter{c: c}
+	x.w = responseWriter{c: c, body: &x.body}
 	c.br.Discard(h.size) //lint:allow errcheck the block is buffered; Discard cannot fall short
 	if int64(c.br.Buffered()) < h.length {
 		// net/http sets no deadline on a body.
@@ -531,18 +540,12 @@ func (c *serveConn) serveOne(h *head) bool {
 			return false
 		}
 	}
-	// A goroutine parked across the request and woken once the
-	// response is written, as net/http's background read is. Its start
-	// and its wakeup each let the scheduler wake a thread on an idle
-	// core, which then looks for work while the client's next request
-	// is on its way. Without it, a 2-worker closed loop of lattice
-	// fills ran 7% slower than on net/http (docs/PERFORMANCE.md §17).
-	parked := make(chan struct{})
-	go func() { <-parked }()
-	defer close(parked)
 	c.s.mux.ServeHTTP(&x.w, &x.req)
 	c.served = true
 	keep := c.finish(x, h)
+	if err := c.stopWatch(); err != nil {
+		keep = false
+	}
 	if !keep && x.body.left > 0 && x.body.err == nil {
 		c.lingerClose()
 	}
@@ -625,6 +628,66 @@ func (c *serveConn) finish(x *exchange, h *head) bool {
 		c.idleEnd = now.Add(idleTimeout)
 	}
 	return keep
+}
+
+// aLongTimeAgo is a read deadline in the past: setting it wakes a
+// blocked read at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// watch starts the connection's hang-up watcher, once per request and
+// only for a request whose body has been read whole (post reads it
+// before any solve-slot wait). The watcher is a goroutine blocked in
+// c.br.Peek(1) until serveOne stops it after the response is written:
+// the handler goroutine does not touch c.br meanwhile. When the
+// client hangs up (EOF) or resets the connection, it calls cancel,
+// instrument's cancel for the request, so a wait for a solve slot
+// ends at once instead of at RequestTimeout; when pipelined bytes
+// arrive it exits and leaves them buffered for the next readHead.
+//
+// Its start and its wakeup at stopWatch are also the scheduler events
+// a fill needs: each lets the scheduler wake a thread on an idle
+// core, which then looks for work while the client's next request is
+// on its way. Without one, a 2-worker closed loop of lattice fills
+// ran 7% slower than on net/http (docs/PERFORMANCE.md §17); a hit,
+// a forward or an asymptotic answer starts none.
+func (w *responseWriter) watch(cancel context.CancelFunc) {
+	c := w.c
+	if c.watching || w.body.left > 0 {
+		return
+	}
+	// The header or idle deadline must not end the watch; stopWatch
+	// sets it again.
+	if !c.deadline.IsZero() {
+		if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
+			return
+		}
+	}
+	if c.watchDone == nil {
+		c.watchDone = make(chan struct{}, 1)
+	}
+	c.watching = true
+	go c.watchHangUp(cancel)
+}
+
+// watchHangUp is the watcher's goroutine (watch).
+func (c *serveConn) watchHangUp(cancel context.CancelFunc) {
+	if _, err := c.br.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		cancel() // EOF or a reset: the client is gone
+	}
+	c.watchDone <- struct{}{}
+}
+
+// stopWatch stops the hang-up watcher, when one runs: a read deadline
+// in the past wakes its Peek, and once it has exited the connection's
+// own deadline, c.deadline, is set again.
+func (c *serveConn) stopWatch() error {
+	if !c.watching {
+		return nil
+	}
+	c.watching = false
+	err := c.nc.SetReadDeadline(aLongTimeAgo)
+	<-c.watchDone
+	return errors.Join(err, c.nc.SetReadDeadline(c.deadline))
 }
 
 // lingerClose half-closes a connection whose client may still be

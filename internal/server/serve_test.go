@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path"
 	"path/filepath"
@@ -205,25 +206,177 @@ func TestServeLoopReadyzThenPost(t *testing.T) {
 	}
 }
 
-// TestServeLoopParkedGoroutineExits checks that the goroutine serveOne
-// parks across each request ends once the response is written: a
-// connection's requests leave no goroutine behind.
-func TestServeLoopParkedGoroutineExits(t *testing.T) {
-	_, addr, _ := startLoop(t, Config{})
+// waitInFlight waits up to d for the in-flight gauge to read n and
+// reports whether it did.
+func waitInFlight(s *Server, n int64, d time.Duration) bool {
+	for end := time.Now().Add(d); s.metrics.inFlight.Load() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockingRequest is the /v1/blocking request for paperSpec(n).
+func blockingRequest(t testing.TB, n int) string {
+	t.Helper()
+	buf, err := json.Marshal(BlockingRequest{SwitchSpec: paperSpec(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postRequest("/v1/blocking", string(buf))
+}
+
+// TestServeLoopHangUpEndsSlotWait: a client that hangs up while its
+// request waits for a solve slot ends the wait at once, not at
+// RequestTimeout, also when the connection's header deadline falls
+// inside the wait.
+func TestServeLoopHangUpEndsSlotWait(t *testing.T) {
+	h := readHeaderTimeout
+	t.Cleanup(func() { readHeaderTimeout = h }) // after every startLoop's Shutdown
+	for _, tc := range []struct {
+		name          string
+		headerTimeout time.Duration
+		wait          time.Duration // how long the request waits before the hang-up
+	}{
+		{"hang-up", h, 0},
+		{"past the header deadline", 50 * time.Millisecond, 200 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			readHeaderTimeout = tc.headerTimeout
+			s, addr, _ := startLoop(t, Config{MaxConcurrent: 1, RequestTimeout: 20 * time.Second})
+			s.sem <- struct{}{} // the test holds the only slot
+			defer func() { <-s.sem }()
+			rc := dialRaw(t, addr)
+			io.WriteString(rc.nc, blockingRequest(t, 8)) //lint:allow errcheck a failed write fails the wait below
+			if !waitInFlight(s, 1, 5*time.Second) {
+				t.Fatal("the request never started")
+			}
+			time.Sleep(tc.wait)
+			if n := s.metrics.inFlight.Load(); n != 1 {
+				t.Fatalf("in flight %d before the hang-up, want 1", n)
+			}
+			rc.nc.Close() //lint:allow errcheck the hang-up under test
+			start := time.Now()
+			if !waitInFlight(s, 0, time.Second) {
+				t.Fatalf("the request still waits for a slot 1s after its client hung up")
+			}
+			t.Logf("the wait ended %v after the hang-up", time.Since(start))
+		})
+	}
+}
+
+// TestServeLoopPipelinedBehindMiss: requests written right behind a
+// miss, before its response, are answered intact and in order on the
+// same connection, whether they arrive while the miss waits for a
+// solve slot (the hang-up watcher leaves them to the next readHead)
+// or in the same segment as the miss.
+func TestServeLoopPipelinedBehindMiss(t *testing.T) {
+	s, addr, handoffs := startLoop(t, Config{MaxConcurrent: 1})
+	ref, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	fresh := func(n int) string { // the answer to a miss for paperSpec(n)
+		req, err := http.ReadRequest(bufio.NewReader(strings.NewReader(blockingRequest(t, n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		ref.Handler().ServeHTTP(rec, req)
+		return rec.Body.String()
+	}
+	const readyz = "GET /readyz HTTP/1.1\r\nHost: xbard\r\n\r\n"
+	check := func(rc *rawConn, what, want string) {
+		t.Helper()
+		resp, body := rc.read()
+		if resp.StatusCode != http.StatusOK || resp.Close || string(body) != want {
+			t.Errorf("%s: status %d, close %v, body %q; want 200 %q", what, resp.StatusCode, resp.Close, body, want)
+		}
+	}
+	const ready = `{"status":"ready"}` + "\n"
+
 	rc := dialRaw(t, addr)
-	const req = "GET /readyz HTTP/1.1\r\nHost: xbard\r\n\r\n"
-	rc.roundTrip(req)
-	time.Sleep(10 * time.Millisecond) // the first request's parked goroutine ends
-	before := runtime.NumGoroutine()
-	for range 100 {
-		rc.roundTrip(req)
+	s.sem <- struct{}{}                          // the miss waits for a slot
+	io.WriteString(rc.nc, blockingRequest(t, 8)) //lint:allow errcheck a failed write fails the read below
+	if !waitInFlight(s, 1, 5*time.Second) {
+		t.Fatal("the miss never started")
 	}
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
+	// The pauses let the watcher block in Peek before the bytes come,
+	// and wake on them before the slot frees; the answers must be the
+	// same at any other timing.
+	time.Sleep(20 * time.Millisecond)
+	io.WriteString(rc.nc, readyz+blockingRequest(t, 10)) //lint:allow errcheck a failed write fails the read below
+	time.Sleep(20 * time.Millisecond)
+	<-s.sem
+	check(rc, "miss", fresh(8))
+	check(rc, "readyz behind it", ready)
+	check(rc, "second miss", fresh(10))
+
+	io.WriteString(rc.nc, blockingRequest(t, 12)+readyz) //lint:allow errcheck a failed write fails the read below
+	check(rc, "miss in one segment", fresh(12))
+	check(rc, "readyz in the same segment", ready)
+
+	rc.roundTrip(readyz)
+	resp, body := rc.roundTrip(blockingRequest(t, 8))
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"cached":true`)) {
+		t.Errorf("hit after the pipelined requests: status %d, body %q", resp.StatusCode, body)
 	}
-	if n > before {
-		t.Errorf("%d goroutines after 100 requests, %d before", n, before)
+	if n := handoffs.Load(); n != 0 {
+		t.Errorf("%d connections handed off, want none", n)
+	}
+}
+
+// TestServeLoopWatcherExits: hits, misses, a request that waits for
+// a slot twice (a fill and a gradient re-solve) and a hang-up, on
+// keep-alive connections, leave no goroutine behind: each hang-up
+// watcher ends with its request, and each connection's goroutine with
+// the connection.
+func TestServeLoopWatcherExits(t *testing.T) {
+	s, addr, _ := startLoop(t, Config{MaxConcurrent: 1, RequestTimeout: 20 * time.Second})
+	settle := func(want int) int { // the goroutine count once it is down to want, or after 2s
+		n := runtime.NumGoroutine()
+		for end := time.Now().Add(2 * time.Second); n > want && time.Now().Before(end); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	const readyz = "GET /readyz HTTP/1.1\r\nHost: xbard\r\n\r\n"
+	rc := dialRaw(t, addr)
+	rc.roundTrip(readyz)
+	time.Sleep(10 * time.Millisecond) // Serve's goroutines have started
+	base := runtime.NumGoroutine()    // rc's goroutine included
+	gradients := postRequest("/v1/revenue", `{"n1":12,"n2":12,"weights":[1,3],"gradients":true,`+wireClasses+`}`)
+	for _, req := range []string{
+		blockingRequest(t, 4), blockingRequest(t, 4), blockingRequest(t, 6), blockingRequest(t, 6),
+		gradients, gradients, readyz,
+	} {
+		if resp, body := rc.roundTrip(req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines after hits and misses, %d before", n, base)
+	}
+
+	hu := dialRaw(t, addr)
+	s.sem <- struct{}{}
+	io.WriteString(hu.nc, blockingRequest(t, 8)) //lint:allow errcheck a failed write fails the wait below
+	if !waitInFlight(s, 1, 5*time.Second) {
+		t.Fatal("the request never started")
+	}
+	hu.nc.Close() //lint:allow errcheck the hang-up under test
+	if !waitInFlight(s, 0, 5*time.Second) {
+		t.Fatal("the request still waits after its client hung up")
+	}
+	<-s.sem
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines after a hang-up, %d before", n, base)
+	}
+	rc.nc.Close() //lint:allow errcheck the connection ends here
+	if n := settle(base - 1); n > base-1 {
+		t.Errorf("%d goroutines after every connection closed, %d with one open", n, base)
 	}
 }
 

@@ -35,6 +35,13 @@ type Server struct {
 	sem      chan struct{}
 	now      func() time.Time
 
+	// Prebuilt header values (contentTypeJSON) in cluster mode:
+	// nodeHeader is this node's X-Xbar-Node, for instrument, and
+	// peerValues holds every member's node id and "application/json",
+	// keyed by value, for the forward stage.
+	nodeHeader []string
+	peerValues map[string][]string
+
 	// ready flips once ring membership is initialized (end of New);
 	// draining flips when shutdown begins. GET /readyz serves 200 only
 	// while ready && !draining, so peers and load balancers stop
@@ -87,6 +94,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.cluster = cl
+		s.peerValues = map[string][]string{"application/json": contentTypeJSON}
+		for _, id := range cl.Nodes() {
+			s.peerValues[id] = []string{id}
+		}
+		s.nodeHeader = s.peerValues[cl.NodeID()]
 	}
 	s.mux = http.NewServeMux()
 	lim := wireLimits{classes: cfg.MaxClasses, sweepPoints: cfg.MaxSweepPoints, gridPoints: cfg.MaxGridPoints}
@@ -133,11 +145,14 @@ func (s *Server) DebugHandler() http.Handler { return s.debugMux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // statusWriter records the response status for metrics and guards the
-// panic-recovery path against writing a second header.
+// panic-recovery path against writing a second header. cancel is
+// instrument's cancel for the request's context, which the serve
+// loop's hang-up watcher calls (call.acquire).
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	code   int
+	wrote  bool
+	cancel context.CancelFunc
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -173,7 +188,7 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 			// Which node actually served — cluster tooling reads this to
 			// find a key's owner. Absent in single-node mode so responses
 			// stay bit-identical to the pre-cluster daemon.
-			w.Header().Set(cluster.HeaderNode, s.cluster.NodeID())
+			w.Header()[cluster.HeaderNode] = s.nodeHeader
 		}
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
@@ -189,13 +204,14 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 		}()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
+		sw.cancel = cancel
 		if err := h(sw, r.WithContext(ctx)); err != nil {
 			var api *apiError
 			if errors.As(err, &api) {
 				if api.code == http.StatusServiceUnavailable {
 					// Overloaded or draining: both pass within a second
 					// or send the client elsewhere.
-					sw.Header().Set("Retry-After", "1")
+					sw.Header()["Retry-After"] = retryAfter1
 				}
 				s.writeJSON(sw, api.code, api.document())
 				return
@@ -205,6 +221,16 @@ func (s *Server) instrument(name string, h handlerFunc) http.Handler {
 		}
 	})
 }
+
+// Prebuilt response header values, assigned under their canonical
+// keys so that setting one costs no allocation (Header.Set builds a
+// new one-element slice per call). Nothing writes into them:
+// Header.Set replaces a slice, and Header.Add on a full one-element
+// slice copies it.
+var (
+	contentTypeJSON = []string{"application/json"}
+	retryAfter1     = []string{"1"}
+)
 
 // encodeBufs recycles writeJSON's encode buffers.
 var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -243,7 +269,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		buf.Reset()
 		buf.WriteString(internalErrorBody)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	if buf.Len() > declareLengthAbove {
 		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	}

@@ -180,13 +180,13 @@ var warmHitAllocs = []struct {
 	name, path, body string
 	max              float64
 }{
-	{"blocking", "/v1/blocking", `{"n1":16,"n2":16,` + wireClasses + `}`, 38},
-	{"revenue", "/v1/revenue", `{"n1":16,"n2":16,"weights":[1,3],` + wireClasses + `}`, 41},
-	{"admission", "/v1/admission", `{"n1":16,"n2":16,"class":1,"weights":[1,3],` + wireClasses + `}`, 40},
-	{"sweep", "/v1/sweep", `{"n1":16,"n2":16,"points":[{"n1":8,"n2":16},{"n1":16,"n2":16}],` + wireClasses + `}`, 39},
-	{"grid", "/v1/grid", `{"n1":16,"n2":16,"points":[{},{"n1":8}],` + wireClasses + `}`, 56},
-	{"asymptotic blocking", "/v1/blocking", `{"n1":4096,"n2":4096,"dispatch":"asymptotic",` + wireClasses + `}`, 47},
-	{"scenario", "/v1/scenario", `{"discipline":"slotted","topology":{"n1":8,"n2":8},"params":{"load":0.5}}`, 54},
+	{"blocking", "/v1/blocking", `{"n1":16,"n2":16,` + wireClasses + `}`, 37},
+	{"revenue", "/v1/revenue", `{"n1":16,"n2":16,"weights":[1,3],` + wireClasses + `}`, 40},
+	{"admission", "/v1/admission", `{"n1":16,"n2":16,"class":1,"weights":[1,3],` + wireClasses + `}`, 39},
+	{"sweep", "/v1/sweep", `{"n1":16,"n2":16,"points":[{"n1":8,"n2":16},{"n1":16,"n2":16}],` + wireClasses + `}`, 38},
+	{"grid", "/v1/grid", `{"n1":16,"n2":16,"points":[{},{"n1":8}],` + wireClasses + `}`, 55},
+	{"asymptotic blocking", "/v1/blocking", `{"n1":4096,"n2":4096,"dispatch":"asymptotic",` + wireClasses + `}`, 46},
+	{"scenario", "/v1/scenario", `{"discipline":"slotted","topology":{"n1":8,"n2":8},"params":{"load":0.5}}`, 53},
 }
 
 // TestWarmHitAllocs pins the allocations of a warm request on every
