@@ -1,7 +1,7 @@
 // Command xbard is the long-running HTTP daemon over the crossbar
 // analytical engine: blocking and concurrency (Algorithms 1 and 2),
 // the Section 4 revenue measures, admission decisions and amortized
-// sub-size sweeps, served as JSON with an LRU solver cache and
+// sub-size sweeps, served as JSON with a SIEVE solver cache and
 // single-flight deduplication (see internal/server and docs/SERVER.md).
 //
 // Usage:

@@ -13,17 +13,25 @@ import (
 // once.
 var errFillPanicked = errors.New("server: cache fill panicked")
 
-// cache is the LRU in front of every served path: up to max values
-// keyed by a canonical operating-point key, with single-flight fills
-// and per-entry reference counts. The solver path caches filled
+// cache is the SIEVE cache in front of every served path: up to max
+// values keyed by a canonical operating-point key, with single-flight
+// fills and per-entry reference counts. The solver path caches filled
 // lattices and recycles evicted ones through onEvict; the scenario
-// path caches immutable results and passes no hook. Maps and list are
-// guarded by mu; fills run outside it.
+// path caches immutable results and passes no hook. Maps, list, hand
+// and visited bits are guarded by mu; fills run outside it.
+//
+// SIEVE (Zhang et al., NSDI 2024) keeps insertion order: a hit only
+// sets its entry's visited bit, and eviction sweeps a hand from the
+// oldest entry toward the newest, clearing bits, and evicts the first
+// entry found unvisited. A hit never reorders the list, and an entry
+// requested since the hand last passed survives the next pass, so
+// popular keys stay while one-off misses leave first.
 type cache[V any] struct {
 	mu    sync.Mutex
 	max   int
-	ll    *list.List            // resident handles, front = most recently used
+	ll    *list.List            // resident handles, front = newest insert
 	items map[string]*handle[V] // resident and in-flight handles
+	hand  *list.Element         // next eviction candidate; nil = ll.Back()
 
 	// onEvict, when non-nil, runs once per evicted value, when its last
 	// reference drops (at eviction if none is held), outside mu.
@@ -41,6 +49,7 @@ type handle[V any] struct {
 	key     string
 	el      *list.Element // position in ll while resident, else nil
 	refs    int           // requests holding or awaiting v (cache lock)
+	visited bool          // requested since the hand last passed (cache lock)
 	evicted bool          // left ll; onEvict runs on the last release
 }
 
@@ -63,9 +72,9 @@ func newCache[V any](maxEntries int, onEvict func(V), stats *cacheStats) *cache[
 func (c *cache[V]) get(ctx context.Context, key string, fill func() (V, error)) (h *handle[V], cached bool, err error) {
 	c.mu.Lock()
 	if h = c.items[key]; h != nil {
-		h.refs++ // granted now, so the value cannot be evicted from under us
+		h.refs++         // granted now, so the value cannot be evicted from under us
+		h.visited = true // a join marks an in-flight value too
 		if h.el != nil {
-			c.ll.MoveToFront(h.el)
 			c.mu.Unlock()
 			c.stats.hits.Add(1)
 			return h, true, nil
@@ -122,12 +131,25 @@ func (c *cache[V]) run(h *handle[V], fill func() (V, error)) {
 	v, err = fill()
 }
 
-// evictLocked drops the least recently used value and returns its
+// evictLocked moves the hand toward the front, wrapping to the back,
+// clearing visited bits until it finds an unvisited value; it drops
+// that value, leaves the hand on its newer neighbour, and returns its
 // handle if no request holds it, for dispose. A value still referenced
 // is disposed of on its last release instead: recycling a lattice a
 // request is still reading would let the next miss refill it mid-read.
 func (c *cache[V]) evictLocked() *handle[V] {
-	old := c.ll.Remove(c.ll.Back()).(*handle[V])
+	el := c.hand
+	if el == nil {
+		el = c.ll.Back()
+	}
+	for h := el.Value.(*handle[V]); h.visited; h = el.Value.(*handle[V]) {
+		h.visited = false
+		if el = el.Prev(); el == nil {
+			el = c.ll.Back()
+		}
+	}
+	c.hand = el.Prev()
+	old := c.ll.Remove(el).(*handle[V])
 	delete(c.items, old.key)
 	old.el = nil
 	old.evicted = true

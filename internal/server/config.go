@@ -5,7 +5,7 @@
 //
 // The layer is built for sustained concurrent traffic:
 //
-//   - one LRU cache type for solvers and scenario results, keyed by
+//   - one SIEVE cache type for solvers and scenario results, keyed by
 //     the canonicalized model (for solvers: algorithm, dimensions,
 //     per-route classes — names excluded) so repeated evaluations of
 //     one operating point share a single fill;

@@ -336,7 +336,7 @@ func (tc *testCache) quiescent(t *testing.T) {
 
 // TestScenarioCacheUnit drives cache[V], as the scenario path
 // instantiates it, through the lifecycle branches the endpoint tests
-// cannot reach deterministically: hits and misses, LRU eviction,
+// cannot reach deterministically: hits and misses, SIEVE eviction,
 // single-flight sharing, fill errors and panics, waiters abandoning a
 // flight, and the release hook of a value evicted while referenced.
 // Every case must end with no flight and no reference outstanding.
@@ -375,7 +375,8 @@ func TestScenarioCacheUnit(t *testing.T) {
 			if got := tc.stats.evictions.Load(); got != 1 {
 				t.Errorf("evictions = %d, want 1", got)
 			}
-			// "a" was the LRU victim, unreferenced, so the hook ran at once.
+			// "a" was the hand's first unvisited value, unreferenced, so
+			// the hook ran at once.
 			if got := tc.disposals("a"); got != 1 {
 				t.Errorf("hook ran %d times for the evicted value, want 1", got)
 			}
@@ -464,7 +465,10 @@ func TestScenarioCacheUnit(t *testing.T) {
 				t.Fatalf("leader %v, waiter %v", l.err, w.err)
 			}
 			tc.release(l.h)
-			tc.release(tc.mustGet(t, "other", false)) // evicts "k"
+			// The waiter's join marked "k" visited: the hand clears the
+			// bit and evicts "other" instead, then "k" on the next insert.
+			tc.release(tc.mustGet(t, "other", false))
+			tc.release(tc.mustGet(t, "other2", false)) // evicts "k"
 			if got := tc.disposals("k"); got != 0 {
 				t.Errorf("hook ran %d times before the waiter released, want 0", got)
 			}
@@ -510,10 +514,13 @@ func TestScenarioCacheUnit(t *testing.T) {
 		}},
 		{"evicted while referenced", 1, func(t *testing.T, tc *testCache) {
 			h1 := tc.mustGet(t, "a", false)
-			h2 := tc.mustGet(t, "a", true)
-			tc.release(tc.mustGet(t, "b", false)) // evicts "a" while referenced twice
-			if got := tc.stats.evictions.Load(); got != 1 {
-				t.Errorf("evictions = %d, want 1", got)
+			h2 := tc.mustGet(t, "a", true) // a hit: marks "a" visited
+			// "a" survives one pass of the hand, which evicts "b"; the
+			// next insert evicts "a" while it is referenced twice.
+			tc.release(tc.mustGet(t, "b", false))
+			tc.release(tc.mustGet(t, "c", false))
+			if got := tc.stats.evictions.Load(); got != 2 {
+				t.Errorf("evictions = %d, want 2", got)
 			}
 			if got := tc.disposals("a"); got != 0 {
 				t.Errorf("hook ran %d times while referenced, want 0", got)

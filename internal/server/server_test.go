@@ -341,8 +341,8 @@ func TestConcurrentEntryReads(t *testing.T) {
 }
 
 // TestConcurrentDistinctRequests drives different operating points
-// concurrently (race coverage for the LRU + flights maps) and checks
-// each against a direct solve.
+// concurrently (race coverage for the cache's list, hand and flights)
+// and checks each against a direct solve.
 func TestConcurrentDistinctRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	sizes := []int{4, 8, 12, 16, 20, 24, 28, 32}
@@ -383,7 +383,7 @@ func TestConcurrentDistinctRequests(t *testing.T) {
 }
 
 // TestCacheEvictionAndRecycling squeezes distinct operating points
-// through a 2-entry cache and checks the LRU evicts and the free pool
+// through a 2-entry cache and checks the cache evicts and the free pool
 // recycles lattices.
 func TestCacheEvictionAndRecycling(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 2})
